@@ -27,7 +27,14 @@ from .ir import (
     _tree_path_to,
     _tree_replace,
 )
-from .semantics import energies, energy_exhaustive, evaluate, gate_masks
+from .semantics import (
+    count_planes,
+    energies,
+    energy_exhaustive,
+    evaluate,
+    gate_masks,
+    max_planes,
+)
 
 
 # --------------------------------------------------------------------------
@@ -155,11 +162,6 @@ def decompose_gk(formula: Formula) -> DecompositionResult:
 # read-once formulas with negations only at the leaves
 
 
-def _mask_bits(mask: int, size: int) -> np.ndarray:
-    raw = mask.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-
-
 @dataclass(slots=True)
 class ReadOnceReport:
     ec: int  # counting binary gates only; leaf NOTs are literal markers
@@ -183,13 +185,8 @@ def readonce_leafneg_energy(formula: Formula, cap: int | None = None) -> ReadOnc
             if formula.gates[g.children[0]].kind != INPUT:
                 raise NonLeafNegation("negation above a non-leaf subformula")
     masks = gate_masks(formula, cap)
-    size = 1 << formula.num_vars
-    total = np.zeros(size, dtype=np.uint32)
-    for gid, g in enumerate(formula.gates):
-        if g.kind in (AND, OR):
-            total += _mask_bits(masks[gid], size)
-    peak = int(total.max())
-    arg = int(np.argmax(total))
+    binary = (m for g, m in zip(formula.gates, masks) if g.kind in (AND, OR))
+    peak, arg = max_planes(count_planes(binary), (1 << (1 << formula.num_vars)) - 1)
     witness = tuple((arg >> i) & 1 for i in range(formula.num_vars))
     leaves = formula.leaves()
     return ReadOnceReport(peak, leaves, peak == leaves - 1, witness)

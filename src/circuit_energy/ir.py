@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -108,15 +109,22 @@ def bounded(cap: int) -> FaninMode:
     return FaninMode("BOUNDED", cap)
 
 
+_BOUNDED = re.compile(r"BOUNDED(?::\s*([0-9]+)|\(\s*([0-9]+)\s*\))")
+
+
 def parse_fanin_mode(text: str) -> FaninMode:
+    """FANIN2, UNBOUNDED, or BOUNDED:<c> (also written BOUNDED(<c>))."""
     text = text.strip()
     if text == "FANIN2":
         return FANIN2
     if text == "UNBOUNDED":
         return UNBOUNDED
-    if text.startswith("BOUNDED(") and text.endswith(")"):
-        return bounded(int(text[len("BOUNDED(") : -1]))
-    raise ValueError(f"bad fan-in mode {text!r}")
+    m = _BOUNDED.fullmatch(text)
+    if m is None:
+        raise ParseError(
+            f"bad fan-in mode {text!r}: expected FANIN2, UNBOUNDED or BOUNDED:<c>"
+        )
+    return bounded(int(m.group(1) or m.group(2)))
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,12 @@ Everything here sweeps the full input space, so every operation takes a cap on
 the variable count (default 24 for plain sweeps, 5 for dt_depth) and raises
 CapExceeded beyond it.  Truth tables and per-gate columns are stored as Python
 int bitmasks over the 2^n little-endian input indices: bit j of the mask is
-the value on the input whose i-th variable is bit i of j.  That keeps the
-bulk sweeps in C (big-int bitwise ops / numpy unpackbits) instead of Python
-loops.
+the value on the input whose i-th variable is bit i of j.  Per-input counts
+(energy, positive sensitivity) are bit-sliced over those masks: a carry-save
+counter adds them into about log2(gates) bit-plane ints, and a top-down scan
+of the planes gives the maximum and its first input.  One code path serves
+every n and gate count; numpy is kept only for the bit transpose in
+firing_patterns and for the per-input array that energies() returns.
 """
 
 from __future__ import annotations
@@ -41,10 +44,13 @@ def var_masks(n: int) -> tuple[int, ...]:
     total = 1 << n
     masks = []
     for i in range(n):
-        period = 1 << (i + 1)
-        block = ((1 << (1 << i)) - 1) << (1 << i)  # one period: low half 0s
-        reps = ((1 << total) - 1) // ((1 << period) - 1)
-        masks.append(block * reps)
+        width = 1 << i
+        m = ((1 << width) - 1) << width  # one period: low half 0s
+        width <<= 1
+        while width < total:  # tile by doubling
+            m |= m << width
+            width <<= 1
+        masks.append(m)
     return tuple(masks)
 
 
@@ -244,70 +250,76 @@ class EnergyReport:
     argmax_input: tuple
 
 
-# byte-spread table: 8 mask bits -> 8 little-endian byte lanes
-_SPREAD8 = tuple(
-    int.from_bytes(bytes((b >> i) & 1 for i in range(8)), "little")
-    for b in range(256)
-)
+def count_planes(masks) -> list[int]:
+    """Bit-sliced count of the set masks at every input: plane j holds bit j
+    of each input's count.
+
+    A vertical carry-save counter: each level keeps one pending mask, and a
+    second mask at that level goes through a full adder with the level's
+    plane, sending its carry one level up.  That costs a handful of big-int
+    operations per mask whatever the count grows to.
+    """
+    planes: list[int] = []
+    pending: list[int] = []  # 0 means empty: adding 0 changes nothing
+    for m in masks:
+        j = 0
+        while m:
+            if j == len(planes):
+                planes.append(0)
+                pending.append(0)
+            p = pending[j]
+            if not p:
+                pending[j] = m
+                break
+            s = planes[j]
+            t = s ^ p
+            planes[j], pending[j], m = t ^ m, 0, (s & p) | (t & m)
+            j += 1
+    carry = 0
+    for j, (s, p) in enumerate(zip(planes, pending)):
+        t = s ^ p
+        planes[j], carry = t ^ carry, (s & p) | (t & carry)
+    if carry:
+        planes.append(carry)
+    return planes
 
 
-def _spread(mask: int, nbytes: int) -> int:
-    """Place bit j of ``mask`` into byte lane j of an nbytes-wide integer."""
-    out = 0
-    shift = 0
-    while mask:
-        out |= _SPREAD8[mask & 0xFF] << shift
-        mask >>= 8
-        shift += 64
-    return out
+def max_planes(planes: list[int], full: int) -> tuple[int, int]:
+    """Largest count held in ``planes`` over the inputs in ``full``, and the
+    first (lowest-index) input attaining it."""
+    best, cand = 0, full
+    for j in reversed(range(len(planes))):
+        hit = cand & planes[j]
+        if hit:
+            best, cand = best | (1 << j), hit
+    return best, (cand & -cand).bit_length() - 1
 
 
-def energy_bytes(circuit: Circuit, cap: int | None = None) -> bytes:
-    """Per-input energy as one byte per input (requires < 256 op gates and
-    n <= 16; the hot path for small exhaustive sweeps)."""
-    n = circuit.num_vars
-    if n > 16:
-        raise CapExceeded("energy_bytes handles n <= 16")
+def _lanes(mask: int, total: int) -> np.ndarray:
+    """Bit j of ``mask`` as entry j of a uint8 array of length ``total``."""
+    raw = np.frombuffer(mask.to_bytes((total + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little", count=total)
+
+
+def _op_planes(circuit: Circuit, cap: int | None) -> list[int]:
     masks = gate_masks(circuit, cap)
-    op_masks = [m for g, m in zip(circuit.gates, masks) if g.kind in OP_KINDS]
-    if len(op_masks) > 255:
-        raise CapExceeded("energy_bytes handles < 256 op gates")
-    total = 1 << n
-    nbytes = max(total, 1)
-    acc = 0
-    for m in op_masks:
-        acc += _spread(m, nbytes)
-    return acc.to_bytes(nbytes, "little")
+    return count_planes(m for g, m in zip(circuit.gates, masks) if g.kind in OP_KINDS)
 
 
 def energies(circuit: Circuit, cap: int | None = None) -> np.ndarray:
     """Per-input energy over all 2^n inputs as a numpy uint32 array."""
-    n = circuit.num_vars
-    _check_cap(n, cap, EVAL_CAP)
-    if n <= 16 and sum(1 for g in circuit.gates if g.kind in OP_KINDS) < 256:
-        return np.frombuffer(energy_bytes(circuit, cap), dtype=np.uint8).astype(
-            np.uint32
-        )
-    masks = gate_masks(circuit, cap)
-    op_masks = [m for g, m in zip(circuit.gates, masks) if g.kind in OP_KINDS]
-    total = 1 << n
+    total = 1 << circuit.num_vars
     acc = np.zeros(total, dtype=np.uint32)
-    nbytes = max(1, total // 8) if total >= 8 else 1
-    for m in op_masks:
-        arr = np.frombuffer(m.to_bytes(nbytes, "little"), dtype=np.uint8)
-        acc += np.unpackbits(arr, bitorder="little", count=total).astype(np.uint32)
+    for j, plane in enumerate(_op_planes(circuit, cap)):
+        acc |= _lanes(plane, total).astype(np.uint32) << j
     return acc
 
 
 def energy_exhaustive(circuit: Circuit, cap: int | None = None) -> EnergyReport:
     """EC(C) with the first input (little-endian order) attaining it."""
     n = circuit.num_vars
-    _check_cap(n, cap, EVAL_CAP)
-    e = energies(circuit, cap)
-    if len(e) == 0:  # unreachable: 2^n >= 1
-        return EnergyReport(0, ())
-    idx = int(e.argmax())
-    return EnergyReport(int(e[idx]), tuple((idx >> i) & 1 for i in range(n)))
+    ec, idx = max_planes(_op_planes(circuit, cap), (1 << (1 << n)) - 1)
+    return EnergyReport(ec, tuple((idx >> i) & 1 for i in range(n)))
 
 
 def firing_patterns(circuit: Circuit, cap: int | None = None) -> list[tuple]:
@@ -316,24 +328,19 @@ def firing_patterns(circuit: Circuit, cap: int | None = None) -> list[tuple]:
     CONST gates are non-input gates and contribute their (constant) bit;
     pattern entries follow ascending gate id.
     """
-    n = circuit.num_vars
-    _check_cap(n, cap, EVAL_CAP)
-    total = 1 << n
+    total = 1 << circuit.num_vars
     masks = gate_masks(circuit, cap)
-    rows = [
-        np.unpackbits(
-            np.frombuffer(m.to_bytes(max(1, total // 8) if total >= 8 else 1, "little"), dtype=np.uint8),
-            bitorder="little",
-            count=total,
-        )
-        for g, m in zip(circuit.gates, masks)
-        if g.kind != INPUT
-    ]
-    if not rows:
+    masks = [m for g, m in zip(circuit.gates, masks) if g.kind != INPUT]
+    if not masks:
         return [()]
-    matrix = np.vstack(rows).T  # inputs x gates
-    uniq = np.unique(matrix, axis=0)
-    return [tuple(int(v) for v in row) for row in uniq]
+    cols = np.stack([_lanes(m, total) for m in masks])  # gates x inputs
+    # one row of big-endian bytes per input: bytewise order is tuple order
+    rows = np.ascontiguousarray(np.packbits(cols, axis=0).T)
+    width = rows.shape[1]
+    uniq = np.unique(rows.view(np.dtype((np.void, width))).ravel())
+    uniq = uniq.view(np.uint8).reshape(-1, width)
+    bits = np.unpackbits(uniq, axis=1, count=len(masks))
+    return list(map(tuple, map(bytes, bits)))  # a bytes row iterates as 0/1 ints
 
 
 # --------------------------------------------------------------------------
@@ -366,24 +373,12 @@ def psens(f: TruthTable, cap: int | None = None) -> PsensReport:
     """max over a of |{i : a_i = 1, f(a xor e_i) != f(a)}|, with a witness."""
     n = f.num_vars
     _check_cap(n, cap, EVAL_CAP)
-    total = 1 << n
-    nbytes = max(1, total // 8) if total >= 8 else 1
-    x = np.unpackbits(
-        np.frombuffer(f.bits.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-        count=total,
-    )
-    counts = np.zeros(total, dtype=np.uint32)
-    idx = np.arange(total)
-    for i in range(n):
-        partner = x[idx ^ (1 << i)]
-        has_one = ((idx >> i) & 1).astype(np.uint8)
-        counts += ((x != partner) & (has_one == 1)).astype(np.uint32)
-    if total == 0:
-        return PsensReport(0, (), set())
-    best = int(counts.argmax())
-    witness = tuple(int((best >> i) & 1) for i in range(n))
-    return PsensReport(int(counts[best]), witness, psens_at(f, witness))
+    bits = f.bits
+    # s_i: inputs with a_i = 1 whose partner a - 2^i has the other value
+    sens = ((bits ^ (bits << (1 << i))) & x for i, x in enumerate(var_masks(n)))
+    value, best = max_planes(count_planes(sens), (1 << (1 << n)) - 1)
+    witness = tuple((best >> i) & 1 for i in range(n))
+    return PsensReport(value, witness, psens_at(f, witness))
 
 
 def is_monotone(f: TruthTable, cap: int | None = None) -> bool:

@@ -164,6 +164,23 @@ def test_gen_nonskew_shape(capsys):
     assert "shape=NONSKEW" in capsys.readouterr().out
 
 
+GEN_FANIN = ["gen", "--seed", "1", "--num-vars", "3", "--size", "4", "--fanin"]
+
+
+@pytest.mark.parametrize("fanin", ["BOUNDED:3", "BOUNDED(3)"])
+def test_gen_bounded_fanin_spellings(fanin, capsys):
+    assert main(GEN_FANIN + [fanin]) == 0
+    netlist = capsys.readouterr().out
+    fanins = [len(line.split()) - 3 for line in netlist.splitlines() if " = " in line]
+    assert max(fanins) == 3
+
+
+def test_gen_bad_fanin_is_a_usage_error(capsys):
+    assert main(GEN_FANIN + ["BOUNDED:x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_all_single_check_smoke(capsys):
     rc = main(["verify-all", "--level", "smoke", "--only", "cascade-taps"])
     out = capsys.readouterr().out

@@ -1,8 +1,10 @@
 import pytest
 
 from circuit_energy import (
+    AND,
     FANIN2,
     INPUT,
+    OR,
     NonLeafNegation,
     NOT,
     NotReadOnce,
@@ -10,6 +12,7 @@ from circuit_energy import (
     decompose_gk,
     energy_exhaustive,
     equivalent,
+    evaluate,
     formula_from_tree,
     formula_stats,
     nonskew_energy_estimate,
@@ -156,6 +159,21 @@ def test_readonce_on_generated_instances():
         )
         rep = readonce_leafneg_energy(f)
         assert rep.equal, (s, rep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_readonce_matches_evaluate_on_every_input(n):
+    f = generate(GenSpec(seed=n, num_vars=n, size_budget=n, neg_density=0.4,
+                         shape="READONCE_LEAFNEG"))
+    inputs = [tuple((j >> i) & 1 for i in range(n)) for j in range(1 << n)]
+    binary = [
+        sum(v for g, v in zip(f.gates, evaluate(f, x).gate_values)
+            if g.kind in (AND, OR))
+        for x in inputs
+    ]
+    rep = readonce_leafneg_energy(f)
+    assert rep.ec == max(binary)
+    assert rep.witness_input == inputs[binary.index(rep.ec)]
 
 
 # --------------------------------------------------------------------------

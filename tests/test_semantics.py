@@ -17,7 +17,8 @@ from circuit_energy import (
     truth_table,
     var_masks,
 )
-from circuit_energy.corpus import GenSpec, fixture, generate
+from circuit_energy.corpus import CIRCUIT, MONOTONE, GenSpec, fixture, generate
+from circuit_energy.ir import INPUT
 from circuit_energy.textio import parse_netlist
 
 XOR2 = TruthTable(2, 0b0110)
@@ -25,6 +26,63 @@ XOR2 = TruthTable(2, 0b0110)
 
 def test_var_masks_small():
     assert var_masks(2) == (0b1010, 0b1100)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7, 12])
+def test_var_masks_match_input_bits(n):
+    for i, m in enumerate(var_masks(n)):
+        assert m == sum(1 << j for j in range(1 << n) if (j >> i) & 1)
+
+
+# --------------------------------------------------------------------------
+# every exhaustive sweep against evaluate() on every input
+
+
+def _circuit(n, size, shape=CIRCUIT, seed=0):
+    return generate(GenSpec(seed=seed, num_vars=n, size_budget=size, neg_density=0.3,
+                            shape=shape))
+
+
+SWEEP_CASES = {
+    "n0-const": parse_netlist("g0 = CONST 1\ng1 = NOT g0\ng2 = AND g0 g1\nOUTPUT g2\n"),
+    "n1": _circuit(1, 5),
+    "n4": _circuit(4, 30, seed=1),
+    "n5-monotone": _circuit(5, 40, MONOTONE, seed=2),
+    "no-op-gates": parse_netlist("INPUT x0\nINPUT x1\nINPUT x2\nOUTPUT x1\n"),
+    "n6-300-gates": _circuit(6, 300, seed=3),
+    "n8-300-gates": _circuit(8, 300, MONOTONE, seed=4),
+    "n10": _circuit(10, 60, seed=5),
+    "n17": _circuit(17, 6, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_CASES))
+def test_sweeps_match_evaluate_on_every_input(name):
+    c = SWEEP_CASES[name]
+    n = c.num_vars
+    traces = [evaluate(c, tuple((j >> i) & 1 for i in range(n))) for j in range(1 << n)]
+    es = [t.energy for t in traces]
+
+    rep = energy_exhaustive(c)
+    assert rep.ec == max(es)
+    assert rep.argmax_input == traces[es.index(rep.ec)].input
+    assert energies(c).tolist() == es
+
+    vals = [t.value for t in traces]
+    f = truth_table(c)
+    assert f == TruthTable.from_values(n, vals)
+    sens = [{i for i in range(n) if (j >> i) & 1 and vals[j] != vals[j ^ (1 << i)]}
+            for j in range(1 << n)]
+    counts = [len(s) for s in sens]
+    p = psens(f)
+    assert p.value == max(counts)
+    j = counts.index(p.value)
+    assert p.witness_input == traces[j].input
+    assert p.witness_indices == sens[j] == psens_at(f, p.witness_input)
+
+    rows = {tuple(v for g, v in zip(c.gates, t.gate_values) if g.kind != INPUT)
+            for t in traces}
+    assert firing_patterns(c) == sorted(rows)
 
 
 def test_truth_table_from_values_and_cofactor():
