@@ -1,18 +1,20 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a checked inequality is violated (the
-witness is printed), 2 on usage or input errors.
+witness is printed), 2 on usage or input errors, 141 (128 + SIGPIPE) when
+the reader of stdout goes away first.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify
 from .bounds import check_psens_bound, dt_from_patterns
-from .corpus import SHAPES, GenSpec, fixture, generate, generate_nonskew
+from .corpus import NONSKEW, SHAPES, GenSpec, fixture, generate, generate_nonskew
 from .errors import ToolkitError
 from .formulas import (
     decompose_gk,
@@ -213,7 +215,7 @@ def _cmd_fml_nonskew(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.shape == "NONSKEW":
+    if args.shape == NONSKEW:
         F = generate_nonskew(args.seed, args.num_vars, args.size)
         header = [
             f"gen seed={args.seed} shape=NONSKEW num_vars={args.num_vars} "
@@ -254,6 +256,9 @@ def _cmd_verify_all(args) -> int:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         status = "all checks passed" if report.ok else "CHECK VIOLATIONS"
+        skipped = sum(1 for c in report.checks if not c.instances_tried)
+        if skipped:
+            status += f" ({skipped} skipped: no instance tried)"
         print(f"{status} in {report.wall_time:.1f}s")
     return 0 if report.ok else 1
 
@@ -335,7 +340,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--num-vars", type=int, required=True)
     sp.add_argument("--size", type=int, required=True, help="ops/leaves/depth budget")
     sp.add_argument("--neg-density", type=float, default=0.0)
-    sp.add_argument("--shape", choices=list(SHAPES) + ["NONSKEW"], default="CIRCUIT")
+    sp.add_argument("--shape", choices=[*SHAPES, NONSKEW], default="CIRCUIT")
     sp.add_argument("--fanin", default="FANIN2", help="FANIN2, UNBOUNDED, or BOUNDED:<c>")
     sp.set_defaults(fn=_cmd_gen)
 
@@ -352,13 +357,20 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (`| head`): whatever is still buffered goes to
+        # devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

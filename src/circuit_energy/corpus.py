@@ -34,6 +34,18 @@ READONCE_LEAFNEG = "READONCE_LEAFNEG"
 MONOTONE = "MONOTONE"
 DTREE = "DTREE"
 SHAPES = (CIRCUIT, FORMULA, READONCE_LEAFNEG, MONOTONE, DTREE)
+NONSKEW = "NONSKEW"
+
+# the least num_vars and size budget each shape can build from: circuits and
+# formulas draw their leaves from the variables, and formulas need one leaf
+_LEAST = {
+    CIRCUIT: (1, 0),
+    MONOTONE: (1, 0),
+    FORMULA: (1, 1),
+    READONCE_LEAFNEG: (1, 1),
+    DTREE: (0, 0),
+    NONSKEW: (1, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -44,6 +56,15 @@ class GenSpec:
     neg_density: float = 0.0
     shape: str = CIRCUIT
     fanin_mode: FaninMode = FANIN2
+
+
+def _check_budget(shape: str, num_vars: int, size: int) -> None:
+    least_n, least_size = _LEAST[shape]
+    if num_vars < least_n or size < least_size:
+        raise BudgetInfeasible(
+            f"{shape} needs num_vars >= {least_n} and size >= {least_size}, "
+            f"got {num_vars} and {size}"
+        )
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -128,6 +149,7 @@ def generate(spec: GenSpec):
     """
     if spec.shape not in SHAPES:
         raise ValueError(f"unknown shape {spec.shape!r}")
+    _check_budget(spec.shape, spec.num_vars, spec.size_budget)
     rng = _rng(spec.seed)
     if spec.shape in (CIRCUIT, MONOTONE):
         return _gen_circuit(spec, rng, monotone=spec.shape == MONOTONE)
@@ -144,9 +166,9 @@ def generate_nonskew(seed: int, num_vars: int, leaf_budget: int) -> Formula:
     stay even down every split, so a gate's children are either two leaves or
     two subformulas.  Odd budgets are rounded up.
     """
+    _check_budget(NONSKEW, num_vars, leaf_budget)
     rng = _rng(seed)
     total = leaf_budget + (leaf_budget % 2)
-    total = max(2, total)
 
     def build(budget: int):
         if budget == 2:

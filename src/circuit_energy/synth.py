@@ -2,10 +2,10 @@
 negation-sharing connector merge, the decision-tree-to-circuit compiler, and
 the fan-in-2 reduction.
 
-The merge and the tree compiler are easiest to get right over an identity-based
-node graph (gates appear, get rewired, and die during negation elimination);
-``_emit`` lays a finished graph back out as a dense topologically ordered
-Circuit.
+The merge and the tree compiler build into one flat ``_Table`` of gate rows.
+Negation elimination rewires rows in place (a selector takes over one NOT's
+row and the other NOT forwards to it), and ``_Table.lay_out`` emits the
+finished output cone as a dense topologically ordered Circuit.
 """
 
 from __future__ import annotations
@@ -39,68 +39,68 @@ SYNTH_CAP = 24
 
 
 # --------------------------------------------------------------------------
-# node graph
+# build table
 
 
-class _Node:
-    __slots__ = ("kind", "children", "arg", "guards")
+class _Table:
+    """Gates under construction: row i is ``[kind, children, arg]`` and rows
+    0..n-1 are the inputs.  A row can be rewired after the rows that consume
+    it were added, so only ``lay_out`` puts the rows in topological order."""
 
-    def __init__(self, kind: str, children=(), arg: int = 0) -> None:
-        self.kind = kind
-        self.children: list[_Node] = list(children)
-        self.arg = arg
-        # literal nodes appended during guard injection, innermost level first
-        self.guards: list[_Node] = []
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.rows: list[list] = [[INPUT, [], v] for v in range(n)]
+        # NOT row paired away by merge_nots -> the row its selector took over
+        self.same: dict[int, int] = {}
 
-    def __repr__(self) -> str:  # debugging aid
-        return f"_Node({self.kind}, kids={len(self.children)}, arg={self.arg})"
+    def add(self, kind: str, children=(), arg: int = 0) -> int:
+        self.rows.append([kind, list(children), arg])
+        return len(self.rows) - 1
 
+    def find(self, r: int) -> int:
+        while r in self.same:
+            r = self.same[r]
+        return r
 
-def _emit(root: _Node, num_vars: int, fanin_mode: FaninMode, cls=Circuit):
-    """Lay a node graph out as a Circuit; returns (circuit, node-id -> gate id)."""
-    gates: list[Gate] = []
-    gid: dict[int, int] = {}
+    def merge_nots(self, nots0, nots1, xi: int, not_xi: int) -> list[int]:
+        """Pair the NOT rows of two sides in list order, min(len) pairs.
 
-    def visit(node: _Node) -> int:
-        key = id(node)
-        got = gid.get(key)
-        if got is not None:
-            return got
-        kids = tuple(visit(c) for c in node.children)
-        gid[key] = g = len(gates)
-        gates.append(Gate(node.kind, kids, node.arg))
-        return g
+        Each pair (t0, t1) becomes one shared selector
+        NOT(OR(AND(~xi, f0), AND(xi, f1))), where f0/f1 are the two feeders.
+        On any input at most 2 of the 4 selector gates fire, and each pair
+        removes one negation net.  The selector takes over t0's row and t1
+        forwards to it.  Returns the selector AND rows.
 
-    out = visit(root)
-    return cls(num_vars, gates, out, fanin_mode, validate=False), gid
+        Each list must put every NOT after the NOTs in its input cone (gate
+        order, or creation order in the tree compiler); pairing in any other
+        order can close a cycle.
+        """
+        rows = self.rows
+        ands: list[int] = []
+        for t0, t1 in zip(nots0, nots1):
+            a0 = self.add(AND, (not_xi, rows[t0][1][0]))
+            a1 = self.add(AND, (xi, rows[t1][1][0]))
+            rows[t0][1] = [self.add(OR, (a0, a1))]
+            self.same[t1] = t0
+            ands += (a0, a1)
+        return ands
 
+    def lay_out(self, root: int, fanin_mode: FaninMode) -> Circuit:
+        """The output cone of ``root`` as a dense Circuit, children first."""
+        gates: list[Gate] = []
+        gid = [-1] * len(self.rows)
 
-def _walk(root: _Node) -> list[_Node]:
-    """All nodes under root, children-first, deduplicated, deterministic."""
-    order: list[_Node] = []
-    seen: set[int] = set()
+        def visit(r: int) -> int:
+            r = self.find(r)
+            if gid[r] < 0:
+                kind, kids, arg = self.rows[r]
+                kids = tuple(visit(c) for c in kids)
+                gid[r] = len(gates)
+                gates.append(Gate(kind, kids, arg))
+            return gid[r]
 
-    def visit(node: _Node) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for c in node.children:
-            visit(c)
-        order.append(node)
-
-    visit(root)
-    return order
-
-
-def _replace_node(nodes: list[_Node], old: _Node, new: _Node) -> None:
-    """Rewire every child/guard reference to ``old`` among ``nodes``."""
-    for nd in nodes:
-        for i, c in enumerate(nd.children):
-            if c is old:
-                nd.children[i] = new
-        for i, g in enumerate(nd.guards):
-            if g is old:
-                nd.guards[i] = new
+        out = visit(root)
+        return Circuit(self.n, gates, out, fanin_mode, validate=False)
 
 
 # --------------------------------------------------------------------------
@@ -188,66 +188,14 @@ def compile_truth_table(f, cap: int | None = None) -> Circuit:
 # connector merge
 
 
-def _clone_into(circuit: Circuit, X: dict[int, _Node]) -> list[_Node]:
-    nodes: list[_Node] = []
-    for g in circuit.gates:
-        if g.kind == INPUT:
-            nodes.append(X[g.arg])
-        elif g.kind == CONST:
-            nodes.append(_Node(CONST, arg=g.arg))
-        else:
-            nodes.append(_Node(g.kind, [nodes[c] for c in g.children]))
-    return nodes
-
-
-def _selector_steps(
-    side_nodes: list[list[_Node]],
-    side_roots: list[_Node],
-    xi: _Node,
-    not_xi: _Node,
-) -> list[_Node]:
-    """Run min(negs0, negs1) negation-elimination steps.
-
-    Each step takes the topologically first remaining NOT of each side and
-    replaces both with one shared selector NOT(OR(AND(~xi, f0), AND(xi, f1))),
-    where f0/f1 are the two feeders.  On any input at most 2 of the 3 selector
-    gates fire, and each step removes one negation net.  Returns the selector
-    AND nodes created (they already contain their x_i literal and are exempt
-    from this level's guard injection).
-    """
-    nots = [
-        [nd for nd in side_nodes[0] if nd.kind == NOT],
-        [nd for nd in side_nodes[1] if nd.kind == NOT],
-    ]
-    selector_ands: list[_Node] = []
-    k = min(len(nots[0]), len(nots[1]))
-    if k == 0:
-        return selector_ands
-    all_nodes = side_nodes[0] + side_nodes[1]
-    for step in range(k):
-        t0, t1 = nots[0][step], nots[1][step]
-        f0, f1 = t0.children[0], t1.children[0]
-        a0 = _Node(AND, [not_xi, f0])
-        a1 = _Node(AND, [xi, f1])
-        sel = _Node(NOT, [_Node(OR, [a0, a1])])
-        selector_ands.extend((a0, a1))
-        _replace_node(all_nodes, t0, sel)
-        _replace_node(all_nodes, t1, sel)
-        for s in (0, 1):
-            if side_roots[s] is (t0 if s == 0 else t1):
-                side_roots[s] = sel
-        # later steps may need to rewire the selector's internals too
-        all_nodes.extend((a0, a1, sel.children[0], sel))
-    return selector_ands
-
-
 def connector_merge(c0: Circuit, c1: Circuit, i: int) -> Circuit:
     """Merge two circuits into one computing (~x_i AND c0) OR (x_i AND c1)
     with negs = 1 + max(negs(c0), negs(c1)).
 
     Sides are pruned to their output cones first (dead negations would make
-    the count meaningless).  min(negs0, negs1) selector steps each eliminate
-    one NOT from each side in favour of one shared selector negation.
+    the count meaningless).  min(negs0, negs1) selector steps, pairing the
+    NOTs of both sides in gate order, each eliminate one NOT from each side in
+    favour of one shared selector negation.
     """
     if c0.num_vars != c1.num_vars:
         raise IncompatibleArity(
@@ -258,21 +206,26 @@ def connector_merge(c0: Circuit, c1: Circuit, i: int) -> Circuit:
     n = c0.num_vars
     if not 0 <= i < n:
         raise VarOutOfRange(f"x{i} out of range for n={n}")
-    c0 = restrict(c0, {})
-    c1 = restrict(c1, {})
-    X = {v: _Node(INPUT, arg=v) for v in range(n)}
-    s0 = _clone_into(c0, X)
-    s1 = _clone_into(c1, X)
-    roots = [s0[c0.output], s1[c1.output]]
-    not_xi = _Node(NOT, [X[i]])
-    _selector_steps([s0, s1], roots, X[i], not_xi)
-    top = _Node(OR, [_Node(AND, [not_xi, roots[0]]), _Node(AND, [X[i], roots[1]])])
+    tab = _Table(n)
+    roots: list[int] = []
+    nots: list[list[int]] = []
+    for c in (restrict(c0, {}), restrict(c1, {})):
+        row: list[int] = []
+        for g in c.gates:
+            if g.kind == INPUT:
+                row.append(g.arg)
+            else:
+                row.append(tab.add(g.kind, [row[ch] for ch in g.children], g.arg))
+        roots.append(row[c.output])
+        nots.append([r for r, g in zip(row, c.gates) if g.kind == NOT])
+    not_xi = tab.add(NOT, [i])
+    tab.merge_nots(nots[0], nots[1], i, not_xi)
+    top = tab.add(OR, [tab.add(AND, [not_xi, roots[0]]), tab.add(AND, [i, roots[1]])])
     if c0.fanin_mode == FANIN2 and c1.fanin_mode == FANIN2:
         mode = FANIN2
     else:
         mode = bounded(max(c0.fanin_mode.limit(), c1.fanin_mode.limit(), 2))
-    circuit, _ = _emit(top, n, mode)
-    return circuit
+    return tab.lay_out(top, mode)
 
 
 # --------------------------------------------------------------------------
@@ -281,11 +234,7 @@ def connector_merge(c0: Circuit, c1: Circuit, i: int) -> Circuit:
 
 @dataclass(slots=True)
 class DtCompileResult:
-    circuit: Circuit  # UNBOUNDED mode
-    # per-AND ordered guard literal gate ids, innermost recursion level first;
-    # a guard slot may point at a selector output once negation elimination
-    # has consumed the original literal
-    guards: dict[int, tuple[int, ...]]
+    circuit: Circuit  # UNBOUNDED mode; every AND ends with its guard literals
     tree_depth: int
 
 
@@ -294,65 +243,55 @@ def dt_to_circuit(tree: DecisionTree) -> DtCompileResult:
     AND fan-in <= depth+2, no OR fed by a literal, negs <= depth, and
     EC <= 2*depth^2.
 
-    Recursion: a depth-d node becomes OR(L0, L1).  A constant-0 branch feeds
-    the OR as CONST 0; a constant-1 or literal branch is wrapped as
-    (guard AND branch); a deeper branch contributes its own OR top directly
+    Recursion: a depth-d node on x_v becomes OR(L0, L1).  A constant-0 branch
+    feeds the OR as CONST 0; a constant-1 or literal branch is wrapped as
+    (branch AND guard); a deeper branch contributes its own OR top directly
     after (a) selector steps that pair up and eliminate negations across the
     two branches and (b) injection of the branch literal into every AND the
-    branch brought along (this level's selector ANDs already carry it).
+    branch brought along (this level's selector ANDs already carry x_v).
+
+    Guard-tail invariant: wrapping and injection both append the guard, so
+    the children of every AND end with its guard literals, innermost level
+    first.  A guard slot may hold a selector once negation elimination has
+    consumed the literal there.
     """
-    X: dict[int, _Node] = {}
+    tab = _Table(tree.num_vars)
+    rows = tab.rows
 
-    def var_node(v: int) -> _Node:
-        nd = X.get(v)
-        if nd is None:
-            nd = X[v] = _Node(INPUT, arg=v)
-        return nd
-
-    def build(t) -> _Node:
+    def build(t) -> tuple[int, list[int], list[int]]:
+        """(root row, live NOT rows in pairing order, AND rows) of subtree t."""
         if isinstance(t, int):
-            return _Node(CONST, arg=t)
+            return tab.add(CONST, arg=t), [], []
         var, lo, hi = t
         if isinstance(lo, int) and isinstance(hi, int):
             if lo == hi:
-                return _Node(CONST, arg=lo)
+                return tab.add(CONST, arg=lo), [], []
             if (lo, hi) == (0, 1):
-                return var_node(var)
-            return _Node(NOT, [var_node(var)])
-        guard1 = var_node(var)
-        guard0 = _Node(NOT, [guard1])
-        sides = [build(lo), build(hi)]
-        side_nodes = [_walk(sides[0]), _walk(sides[1])]
-        # ANDs each side brought along, before this level adds its own
-        side_ands = [
-            [nd for nd in side_nodes[b] if nd.kind == AND] for b in (0, 1)
-        ]
-        _selector_steps(side_nodes, sides, guard1, guard0)
-        legs: list[_Node] = []
-        for b in (0, 1):
-            r = sides[b]
-            guard = guard0 if b == 0 else guard1
-            if r.kind == CONST and r.arg == 0:
-                legs.append(r)
-            elif r.kind == OR:
-                for a in side_ands[b]:
-                    a.children.append(guard)
-                    a.guards.append(guard)
-                legs.append(r)
-            else:  # literal, eliminated-negation selector, or CONST 1
-                w = _Node(AND, [guard, r])
-                w.guards.append(guard)
-                legs.append(w)
-        return _Node(OR, legs)
+                return var, [], []
+            r = tab.add(NOT, [var])
+            return r, [r], []
+        r0, nots0, ands0 = build(lo)
+        r1, nots1, ands1 = build(hi)
+        not_x = tab.add(NOT, [var])
+        sel_ands = tab.merge_nots(nots0, nots1, var, not_x)
+        legs: list[int] = []
+        for r, ands, guard in ((r0, ands0, not_x), (tab.find(r1), ands1, var)):
+            kind, _, arg = rows[r]
+            if kind == OR:
+                for a in ands:
+                    rows[a][1].append(guard)
+            elif kind != CONST or arg:  # literal, selector or CONST 1
+                r = tab.add(AND, [r, guard])
+                ands.append(r)
+            legs.append(r)
+        # ~x_v is live once a selector or an AND on the low side holds it
+        nots = [not_x] if sel_ands or ands0 else []
+        nots += nots0
+        nots += nots1[len(sel_ands) // 2 :]
+        return tab.add(OR, legs), nots, ands0 + ands1 + sel_ands
 
-    root = build(tree.root)
-    circuit, gid = _emit(root, tree.num_vars, UNBOUNDED)
-    guards = {
-        gid[id(nd)]: tuple(gid[id(g)] for g in nd.guards)
-        for nd in _walk(root)
-        if nd.kind == AND and nd.guards
-    }
-    return DtCompileResult(circuit, guards, tree.depth())
+    root, _, _ = build(tree.root)
+    return DtCompileResult(tab.lay_out(root, UNBOUNDED), tree.depth())
 
 
 # --------------------------------------------------------------------------
@@ -360,32 +299,25 @@ def dt_to_circuit(tree: DecisionTree) -> DtCompileResult:
 
 
 def fanin2_reduce(result: DtCompileResult) -> Circuit:
-    """Expand every wide AND of a compiled tree into a right-comb of AND2
-    gates with the guard literals deepest (outermost level's literal at the
-    very bottom), so a false guard zeroes the entire comb.  The output is an
-    equivalent FANIN2 circuit with EC <= 2*d^2*(d+1)."""
+    """Expand every wide gate of a compiled tree into a right-comb of fan-in-2
+    gates over its children in order.  By the guard-tail invariant of
+    ``dt_to_circuit`` the guard literals of an AND come last, so they sit
+    deepest (the outermost level's literal at the very bottom) and a false
+    guard zeroes the entire comb.  The output is an equivalent FANIN2 circuit
+    with EC <= 2*d^2*(d+1)."""
     src = result.circuit
     gates: list[Gate] = []
-    idmap: dict[int, int] = {}
-
-    def comb(kind: str, ordered: list[int]) -> int:
-        acc = len(gates)
-        gates.append(Gate(kind, (ordered[-2], ordered[-1])))
-        for c in reversed(ordered[:-2]):
-            nxt = len(gates)
-            gates.append(Gate(kind, (c, acc)))
-            acc = nxt
-        return acc
-
-    for old_id, g in enumerate(src.gates):
-        if g.kind in (AND, OR) and len(g.children) > 2:
-            guard_ids = list(result.guards.get(old_id, ())) if g.kind == AND else []
-            rest = list(g.children)
-            for gd in guard_ids:
-                rest.remove(gd)  # first occurrence; guards are distinct literals
-            ordered = [idmap[c] for c in rest + guard_ids]
-            idmap[old_id] = comb(g.kind, ordered)
+    idmap: list[int] = []
+    for g in src.gates:
+        kids = [idmap[c] for c in g.children]
+        if len(kids) > 2:
+            acc = len(gates)
+            gates.append(Gate(g.kind, (kids[-2], kids[-1])))
+            for c in reversed(kids[:-2]):
+                gates.append(Gate(g.kind, (c, acc)))
+                acc = len(gates) - 1
+            idmap.append(acc)
         else:
-            idmap[old_id] = len(gates)
-            gates.append(Gate(g.kind, tuple(idmap[c] for c in g.children), g.arg))
+            idmap.append(len(gates))
+            gates.append(Gate(g.kind, tuple(kids), g.arg))
     return Circuit(src.num_vars, gates, idmap[src.output], FANIN2, validate=False)

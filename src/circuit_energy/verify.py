@@ -80,7 +80,8 @@ class CheckResult:
         return self.violations == 0
 
     def line(self) -> str:
-        tag = "PASS" if self.ok else "FAIL"
+        # a check that tried nothing has shown nothing
+        tag = "FAIL" if not self.ok else "PASS" if self.instances_tried else "SKIP"
         return (
             f"[{tag}] {self.check_id}: {self.claim} "
             f"({self.instances_tried} instances, {self.violations} violations, "
@@ -190,19 +191,23 @@ def _all_reduced_trees(num_vars: int, depth: int):
     return enumerate_lazy(), predicted(depth, num_vars), cache
 
 
-def _tree_corpus(level: str):
-    """(roots iterable, expected exhaustive count, num_vars for each root)."""
-    if level == SMOKE:
-        exhaustive, count, cache = _all_reduced_trees(3, 2)
-        n_exh, n_rand, rand = 3, 8, 50
-    else:
-        exhaustive, count, cache = _all_reduced_trees(4, 3)
-        n_exh, n_rand, rand = 4, 8, 500
-    randoms = [
-        generate(GenSpec(seed=s, num_vars=n_rand, size_budget=6, shape=DTREE)).root
-        for s in range(rand)
-    ]
-    return exhaustive, count, n_exh, randoms, n_rand, cache
+def _tree_cases(level: str, tally: _Tally):
+    """Every tree the two tree checks compile, as (label, n, root, depth,
+    truth-table bits): all reduced trees of the exhaustive corpus, labelled
+    by their 0-based enumeration index, then the seeded random DTREE trees.
+    An enumeration that disagrees with the closed form is a violation."""
+    n_exh, depth, rand = (3, 2, 50) if level == SMOKE else (4, 3, 500)
+    exhaustive, expected, _ = _all_reduced_trees(n_exh, depth)
+    memo: dict = {}  # _dt_bits keys by node alone, so one memo per n
+    k = -1
+    for k, root in enumerate(exhaustive):
+        yield f"tree {k}", n_exh, root, dt_depth_of(root), _dt_bits(root, n_exh, memo)
+    if k + 1 != expected:
+        tally.add([f"enumerated {k + 1} trees, closed form says {expected}"], "enumeration")
+    memo = {}
+    for s in range(rand):
+        root = generate(GenSpec(seed=s, num_vars=8, size_budget=6, shape=DTREE)).root
+        yield f"random tree seed={s}", 8, root, dt_depth_of(root), _dt_bits(root, 8, memo)
 
 
 def _psens_specs(level: str) -> list[GenSpec]:
@@ -274,29 +279,6 @@ def check_cascade_taps(level: str = FULL, cap_n: int | None = None) -> CheckResu
     return tally.result("cascade-taps", claim, worst, t0)
 
 
-def _compiled_tree_problems(c: Circuit, d: int, tree_bits: int, n: int) -> list[str]:
-    problems = []
-    if gate_masks(c)[c.output] != tree_bits:
-        problems.append("not equivalent to the tree")
-    negs = sum(1 for g in c.gates if g.kind == NOT)
-    if negs > d:
-        problems.append(f"negations {negs} > depth {d}")
-    for g in c.gates:
-        if g.kind == OR:
-            if len(g.children) != 2:
-                problems.append(f"OR fan-in {len(g.children)}")
-            for ch in g.children:
-                if c.gates[ch].kind in (INPUT, NOT):
-                    problems.append("OR fed by a literal")
-                    break
-        elif g.kind == AND and len(g.children) > d + 2:
-            problems.append(f"AND fan-in {len(g.children)} > {d + 2}")
-    ec = energy_exhaustive(c).ec
-    if ec > 2 * d * d:
-        problems.append(f"EC={ec} > {2 * d * d}")
-    return problems
-
-
 def check_tree_compile(level: str = FULL, cap_n: int | None = None) -> CheckResult:
     claim = (
         "depth-d trees compile with <= d negations, EC <= 2d^2, OR fan-in 2, "
@@ -304,31 +286,31 @@ def check_tree_compile(level: str = FULL, cap_n: int | None = None) -> CheckResu
     )
     t0 = perf_counter()
     tally = _Tally()
-    exhaustive, expected, n_exh, randoms, n_rand, _cache = _tree_corpus(level)
     worst = (-1, None)
-    seen = 0
-    memo: dict = {}
-    for root in exhaustive:
-        seen += 1
-        d = dt_depth_of(root)
-        res = dt_to_circuit(DecisionTree(n_exh, root))
-        problems = _compiled_tree_problems(
-            res.circuit, d, _dt_bits(root, n_exh, memo), n_exh
-        )
-        ec = energy_exhaustive(res.circuit).ec
+    for label, n, root, d, bits in _tree_cases(level, tally):
+        c = dt_to_circuit(DecisionTree(n, root)).circuit
+        problems = []
+        if gate_masks(c)[c.output] != bits:
+            problems.append("not equivalent to the tree")
+        negs = sum(1 for g in c.gates if g.kind == NOT)
+        if negs > d:
+            problems.append(f"negations {negs} > depth {d}")
+        for g in c.gates:
+            if g.kind == OR:
+                if len(g.children) != 2:
+                    problems.append(f"OR fan-in {len(g.children)}")
+                for ch in g.children:
+                    if c.gates[ch].kind in (INPUT, NOT):
+                        problems.append("OR fed by a literal")
+                        break
+            elif g.kind == AND and len(g.children) > d + 2:
+                problems.append(f"AND fan-in {len(g.children)} > {d + 2}")
+        ec = energy_exhaustive(c).ec
+        if ec > 2 * d * d:
+            problems.append(f"EC={ec} > {2 * d * d}")
         if ec > worst[0]:
             worst = (ec, f"tree={root!r} d={d} EC={ec}")
-        tally.add(problems, f"tree {seen}")
-    if seen != expected:
-        tally.add([f"enumerated {seen} trees, closed form says {expected}"], "enumeration")
-    memo = {}
-    for k, root in enumerate(randoms):
-        d = dt_depth_of(root)
-        res = dt_to_circuit(DecisionTree(n_rand, root))
-        problems = _compiled_tree_problems(
-            res.circuit, d, _dt_bits(root, n_rand, memo), n_rand
-        )
-        tally.add(problems, f"random tree seed={k}")
+        tally.add(problems, label)
     return tally.result("tree-compile", claim, worst[1], t0)
 
 
@@ -336,17 +318,13 @@ def check_tree_fanin2(level: str = FULL, cap_n: int | None = None) -> CheckResul
     claim = "the fan-in-2 expansion of compiled trees keeps equivalence with EC <= 2d^2(d+1)"
     t0 = perf_counter()
     tally = _Tally()
-    exhaustive, _expected, n_exh, randoms, n_rand, _cache = _tree_corpus(level)
     worst = (-1, None)
-
-    def run(root, n: int, label: str, memo: dict) -> None:
-        nonlocal worst
-        d = dt_depth_of(root)
+    for label, n, root, d, bits in _tree_cases(level, tally):
         c2 = fanin2_reduce(dt_to_circuit(DecisionTree(n, root)))
         problems = []
         if c2.max_fanin() > 2:
             problems.append(f"fan-in {c2.max_fanin()}")
-        if gate_masks(c2)[c2.output] != _dt_bits(root, n, memo):
+        if gate_masks(c2)[c2.output] != bits:
             problems.append("not equivalent to the tree")
         ec = energy_exhaustive(c2).ec
         bound = 2 * d * d * (d + 1)
@@ -355,13 +333,6 @@ def check_tree_fanin2(level: str = FULL, cap_n: int | None = None) -> CheckResul
         if ec > worst[0]:
             worst = (ec, f"tree={root!r} d={d} EC={ec}")
         tally.add(problems, label)
-
-    memo: dict = {}
-    for k, root in enumerate(exhaustive):
-        run(root, n_exh, f"tree {k}", memo)
-    memo = {}
-    for k, root in enumerate(randoms):
-        run(root, n_rand, f"random tree seed={k}", memo)
     return tally.result("tree-fanin2", claim, worst[1], t0)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,41 @@ def test_gen_bad_fanin_is_a_usage_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--num-vars", "0", "--size", "3"],
+        ["--num-vars", "0", "--size", "3", "--shape", "NONSKEW"],
+        ["--num-vars", "-1", "--size", "3", "--shape", "NONSKEW"],
+        ["--num-vars", "0", "--size", "3", "--shape", "FORMULA"],
+        ["--num-vars", "-1", "--size", "3", "--shape", "FORMULA"],
+        ["--num-vars", "3", "--size", "-2"],
+        ["--num-vars", "3", "--size", "-2", "--shape", "DTREE"],
+    ],
+)
+def test_gen_rejects_sizes_it_cannot_build(args, capsys):
+    assert main(["gen", "--seed", "1", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_closed_stdout_is_not_a_crash():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circuit_energy.cli", "patterns", "fixture:cascade_tap(10,0)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.read(10)
+    proc.stdout.close()  # the reader goes away, as `| head -c 10` does
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_verify_all_single_check_smoke(capsys):
     rc = main(["verify-all", "--level", "smoke", "--only", "cascade-taps"])
     out = capsys.readouterr().out
@@ -206,3 +245,14 @@ def test_verify_all_json(capsys):
     assert data["suite"] == "smoke"
     assert data["checks"][0]["check_id"] == "readonce-exact"
     assert data["checks"][0]["violations"] == 0
+
+
+def test_verify_all_check_with_no_instance_is_skipped(capsys):
+    rc = main(
+        ["verify-all", "--level", "smoke", "--cap-n", "2", "--only", "compile-all-functions"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "[SKIP] compile-all-functions:" in out and "(0 instances" in out
+    assert "[PASS]" not in out
+    assert "1 skipped" in out

@@ -24,6 +24,7 @@ from circuit_energy import (
 from circuit_energy.corpus import GenSpec, generate
 from circuit_energy.ir import structural_stats
 from circuit_energy.textio import parse_netlist
+from circuit_energy.verify import _all_reduced_trees
 
 
 def negs_of(c):
@@ -160,14 +161,15 @@ def test_compile_xor3():
     check_compiled(root, 3)
 
 
-def test_guard_map_points_at_literal_gates():
-    root = (0, (1, 0, 1), (1, 1, 0))
-    res = dt_to_circuit(DecisionTree(2, root))
-    c = res.circuit
-    for gid, guards in res.guards.items():
-        assert c.gates[gid].kind == AND
-        for lit in guards:
-            assert lit in c.gates[gid].children
+def test_compile_tree_with_constant_subtrees():
+    # (4, 0, 0) and (7, 0, 0) compile to CONST 0 legs, so the OR above them
+    # holds no AND and its ~x_v must stay out of the circuit
+    tree = generate(GenSpec(seed=232, num_vars=8, size_budget=6, shape="DTREE"))
+    assert "(4, 0, 0)" in repr(tree.root) and "(7, 0, 0)" in repr(tree.root)
+    res = check_compiled(tree.root, 8)
+    assert len(res.circuit.gates) == 27
+    assert negs_of(res.circuit) == 4
+    assert len(fanin2_reduce(res).gates) == 34
 
 
 # --------------------------------------------------------------------------
@@ -191,3 +193,29 @@ def test_fanin2_on_random_trees():
         c2 = fanin2_reduce(res)
         assert c2.max_fanin() <= 2
         assert truth_table(c2) == tree_tt(6, tree.root)
+
+
+def test_compiled_sizes_on_a_corpus_slice():
+    # every 1009th tree of the exhaustive n=4 corpus plus 100 seeded n=8
+    # trees: pins the gate and negation counts of both compilers
+    trees = [
+        (4, root)
+        for k, root in enumerate(_all_reduced_trees(4, 3)[0])
+        if k % 1009 == 0
+    ]
+    trees += [
+        (8, generate(GenSpec(seed=s, num_vars=8, size_budget=6, shape="DTREE")).root)
+        for s in range(100)
+    ]
+    gates = gates2 = negs = ec = ec2 = 0
+    for n, root in trees:
+        res = dt_to_circuit(DecisionTree(n, root))
+        c2 = fanin2_reduce(res)
+        gates += len(res.circuit.gates)
+        gates2 += len(c2.gates)
+        negs += negs_of(res.circuit)
+        ec = max(ec, energy_exhaustive(res.circuit).ec)
+        ec2 = max(ec2, energy_exhaustive(c2).ec)
+    assert len(trees) == 462
+    assert (gates, gates2, negs) == (10317, 15021, 1203)
+    assert (ec, ec2) == (32, 73)
