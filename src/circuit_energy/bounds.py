@@ -11,13 +11,14 @@ from .errors import NoPathFound
 from .ir import INPUT, NOT, OP_KINDS, Circuit, DecisionTree, dt_depth_of, restrict
 from .semantics import (
     DT_CAP,
+    EVAL_CAP,
+    _check_cap,
     dt_depth,
     energy_exhaustive,
     evaluate,
     firing_patterns,
     gate_masks,
     psens,
-    psens_at,
     truth_table,
 )
 
@@ -41,16 +42,19 @@ def find_positive_path(circuit: Circuit, a, i: int, cap: int | None = None) -> P
     gate ids.  Requires a_i = 1 and i positively sensitive at ``a`` (oracle
     checked); a failed search on such an input is a theorem violation.
     """
-    f = truth_table(circuit, cap)
+    _check_cap(circuit.num_vars, cap, EVAL_CAP)
     a = tuple(int(b) for b in a)
-    if i not in psens_at(f, a):
+    trace = evaluate(circuit, a)
+    if not (0 <= i < len(a) and a[i]) or (
+        evaluate(circuit, a[:i] + (0,) + a[i + 1 :]).value == trace.value
+    ):
         raise NoPathFound(
             f"x{i} is not positively sensitive at {''.join(map(str, a))}"
         )
     start = circuit.input_gate_ids().get(i)
     if start is None:
         raise NoPathFound(f"no INPUT gate for x{i}")  # unreachable if sensitive
-    vals = evaluate(circuit, a).gate_values
+    vals = trace.gate_values
     consumers = circuit.consumers()
     parent: dict[int, int] = {start: -1}
     queue = [start]

@@ -14,6 +14,7 @@ from .ir import (
     AND,
     INPUT,
     NOT,
+    OP_KINDS,
     OR,
     Formula,
     Gate,
@@ -27,14 +28,7 @@ from .ir import (
     _tree_path_to,
     _tree_replace,
 )
-from .semantics import (
-    count_planes,
-    energies,
-    energy_exhaustive,
-    evaluate,
-    gate_masks,
-    max_planes,
-)
+from .semantics import energies, energy_exhaustive, evaluate, max_firing
 
 
 # --------------------------------------------------------------------------
@@ -184,10 +178,8 @@ def readonce_leafneg_energy(formula: Formula, cap: int | None = None) -> ReadOnc
         elif g.kind == NOT:
             if formula.gates[g.children[0]].kind != INPUT:
                 raise NonLeafNegation("negation above a non-leaf subformula")
-    masks = gate_masks(formula, cap)
-    binary = (m for g, m in zip(formula.gates, masks) if g.kind in (AND, OR))
-    peak, arg = max_planes(count_planes(binary), (1 << (1 << formula.num_vars)) - 1)
-    witness = tuple((arg >> i) & 1 for i in range(formula.num_vars))
+    binary = [g.kind != NOT for g in formula.gates if g.kind in OP_KINDS]
+    peak, witness = max_firing(formula, cap, binary)
     leaves = formula.leaves()
     return ReadOnceReport(peak, leaves, peak == leaves - 1, witness)
 

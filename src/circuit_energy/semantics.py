@@ -6,11 +6,21 @@ Everything here sweeps the full input space, so every operation takes a cap on
 the variable count (default 24 for plain sweeps, 5 for dt_depth) and raises
 CapExceeded beyond it.  Truth tables and per-gate columns are stored as Python
 int bitmasks over the 2^n little-endian input indices: bit j of the mask is
-the value on the input whose i-th variable is bit i of j.  Per-input counts
-(energy, positive sensitivity) are bit-sliced over those masks: a carry-save
-counter adds them into about log2(gates) bit-plane ints, and a top-down scan
-of the planes gives the maximum and its first input.  One code path serves
-every n and gate count; numpy is kept only for the bit transpose in
+the value on the input whose i-th variable is bit i of j.
+
+Sweeps run in blocks of 2^16 inputs (BLOCK_VARS): inside block b, variables
+below 16 are the usual columns and variable v >= 16 is the constant bit
+v - 16 of b, so a gate's mask for one block is 8 KB whatever n is, and a
+sweep holds one block of masks at a time.  One kernel sets every gate's mask
+for a block and hands back the NOT, AND and OR masks.  Energy is counted
+bit-sliced over them: a carry-save counter adds the masks into about
+log2(gates) bit-plane ints, and a top-down scan of the planes gives the
+block's maximum and its first input; a later block wins only with a strictly
+larger maximum.  psens counts the same way over masks derived from the truth
+table.  Truth tables join the output mask of each block.  n <= 16 is one
+block on the same path.  gate_masks, which firing_patterns needs, is the
+whole-width sweep: one block of 2^n, priced against MASK_BUDGET before
+anything is allocated.  numpy is kept only for the bit transpose in
 firing_patterns and for the per-input array that energies() returns.
 """
 
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -25,6 +36,8 @@ from .errors import CapExceeded, LengthMismatch
 from .ir import AND, CONST, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree
 
 EVAL_CAP = 24  # exhaustive sweeps
+MASK_BUDGET = 1 << 27  # bytes of whole-width masks gate_masks may hold
+BLOCK_VARS = 16  # a sweep block covers 2^16 inputs
 DT_CAP = 5  # dt_depth's memoized recursion
 
 
@@ -54,32 +67,53 @@ def var_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int) -> list[int]:
+    """Set ``masks[g]`` for every gate id g in ``ids`` (ascending, closed
+    under children) over inputs block * 2^k .. (block + 1) * 2^k - 1, and
+    return the masks of the NOT, AND and OR gates among them, in order."""
+    full = (1 << (1 << k)) - 1
+    vm = var_masks(k)
+    gates = circuit.gates
+    ops = []
+    for gid in ids:
+        kind, ch, arg = gates[gid]
+        if kind == INPUT:
+            masks[gid] = vm[arg] if arg < k else full * ((block >> (arg - k)) & 1)
+            continue
+        if kind == CONST:
+            masks[gid] = full if arg else 0
+            continue
+        m = masks[ch[0]]
+        if kind == NOT:
+            m = full ^ m
+        elif kind == AND:
+            for c in ch[1:]:
+                m &= masks[c]
+        else:  # OR
+            for c in ch[1:]:
+                m |= masks[c]
+        masks[gid] = m
+        ops.append(m)
+    return ops
+
+
 def gate_masks(circuit: Circuit, cap: int | None = None) -> list[int]:
     """Truth-table bitmask of every gate, in gate order (whole gate list, not
-    just the output cone — multi-tap circuits rely on this)."""
+    just the output cone — multi-tap circuits rely on this).
+
+    The masks span all 2^n inputs at once, so their size is priced against
+    MASK_BUDGET before the sweep starts.
+    """
     n = circuit.num_vars
     _check_cap(n, cap, EVAL_CAP)
-    full = (1 << (1 << n)) - 1
-    vm = var_masks(n)
-    masks: list[int] = []
-    for g in circuit.gates:
-        k = g.kind
-        if k == INPUT:
-            masks.append(vm[g.arg])
-        elif k == CONST:
-            masks.append(full if g.arg else 0)
-        elif k == NOT:
-            masks.append(full ^ masks[g.children[0]])
-        elif k == AND:
-            m = masks[g.children[0]]
-            for c in g.children[1:]:
-                m &= masks[c]
-            masks.append(m)
-        else:  # OR
-            m = masks[g.children[0]]
-            for c in g.children[1:]:
-                m |= masks[c]
-            masks.append(m)
+    size = len(circuit.gates)
+    if size << n > MASK_BUDGET << 3:
+        raise CapExceeded(
+            f"{size} gates over 2^{n} inputs need {(size << n) >> 23} MB of masks, "
+            f"over the {MASK_BUDGET >> 20} MB budget"
+        )
+    masks = [0] * size
+    _sweep(circuit, masks, range(size), n, 0)
     return masks
 
 
@@ -167,9 +201,6 @@ class TruthTable:
     def depends_on(self, var: int) -> bool:
         return self.cofactor(var, 0).bits != self.cofactor(var, 1).bits
 
-    def is_constant(self) -> bool:
-        return self.bits == 0 or self.bits == (1 << (1 << self.num_vars)) - 1
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruthTable)
@@ -186,8 +217,34 @@ class TruthTable:
         return f"TruthTable(n={self.num_vars}, ones={bin(self.bits).count('1')})"
 
 
+def _cone(circuit: Circuit) -> list[int]:
+    """Ascending ids of the gates the output depends on."""
+    gates = circuit.gates
+    need = [False] * len(gates)
+    need[circuit.output] = True
+    for gid in range(circuit.output, -1, -1):
+        if need[gid]:
+            for c in gates[gid].children:
+                need[c] = True
+    return [gid for gid, live in enumerate(need) if live]
+
+
 def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
-    return TruthTable(circuit.num_vars, gate_masks(circuit, cap)[circuit.output])
+    """The output's table, joined from the output mask of every block.  Over
+    several blocks only the output cone is swept; in a single block, finding
+    the cone costs more than the dead gates it would skip."""
+    n = circuit.num_vars
+    _check_cap(n, cap, EVAL_CAP)
+    k = min(n, BLOCK_VARS)
+    size = len(circuit.gates)
+    ids = range(size) if n == k else _cone(circuit)
+    masks = [0] * size
+    width = ((1 << k) + 7) >> 3
+    parts = []
+    for b in range(1 << (n - k)):
+        _sweep(circuit, masks, ids, k, b)
+        parts.append(masks[circuit.output].to_bytes(width, "little"))
+    return TruthTable(n, int.from_bytes(b"".join(parts), "little"))
 
 
 def equivalent(c1: Circuit, c2: Circuit, cap: int | None = None) -> bool:
@@ -301,25 +358,48 @@ def _lanes(mask: int, total: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little", count=total)
 
 
-def _op_planes(circuit: Circuit, cap: int | None) -> list[int]:
-    masks = gate_masks(circuit, cap)
-    return count_planes(m for g, m in zip(circuit.gates, masks) if g.kind in OP_KINDS)
+def _block_planes(circuit: Circuit, counted):
+    """Per block of inputs: its first index, its width 2^k and the count
+    planes of the NOT/AND/OR gates that ``counted`` flags (all when None)."""
+    n = circuit.num_vars
+    k = min(n, BLOCK_VARS)
+    size = len(circuit.gates)
+    masks = [0] * size
+    flags = repeat(True) if counted is None else counted
+    for b in range(1 << (n - k)):
+        # the op list is not bound, so it is gone before the next block's sweep
+        yield b << k, k, count_planes(
+            compress(_sweep(circuit, masks, range(size), k, b), flags)
+        )
+
+
+def max_firing(circuit: Circuit, cap: int | None = None, counted=None) -> tuple[int, tuple]:
+    """Largest number of NOT/AND/OR gates firing together over all 2^n inputs,
+    and the first (little-endian) input attaining it.  ``counted`` flags, for
+    each such gate in gate order, whether it counts (default: every one)."""
+    _check_cap(circuit.num_vars, cap, EVAL_CAP)
+    best, arg = -1, 0
+    for base, k, planes in _block_planes(circuit, counted):
+        peak, idx = max_planes(planes, (1 << (1 << k)) - 1)
+        if peak > best:  # strictly: an earlier block keeps a tie
+            best, arg = peak, base + idx
+    return best, tuple((arg >> i) & 1 for i in range(circuit.num_vars))
 
 
 def energies(circuit: Circuit, cap: int | None = None) -> np.ndarray:
     """Per-input energy over all 2^n inputs as a numpy uint32 array."""
-    total = 1 << circuit.num_vars
-    acc = np.zeros(total, dtype=np.uint32)
-    for j, plane in enumerate(_op_planes(circuit, cap)):
-        acc |= _lanes(plane, total).astype(np.uint32) << j
+    _check_cap(circuit.num_vars, cap, EVAL_CAP)
+    acc = np.zeros(1 << circuit.num_vars, dtype=np.uint32)
+    for base, k, planes in _block_planes(circuit, None):
+        block = acc[base : base + (1 << k)]
+        for j, plane in enumerate(planes):
+            block |= _lanes(plane, 1 << k).astype(np.uint32) << j
     return acc
 
 
 def energy_exhaustive(circuit: Circuit, cap: int | None = None) -> EnergyReport:
     """EC(C) with the first input (little-endian order) attaining it."""
-    n = circuit.num_vars
-    ec, idx = max_planes(_op_planes(circuit, cap), (1 << (1 << n)) - 1)
-    return EnergyReport(ec, tuple((idx >> i) & 1 for i in range(n)))
+    return EnergyReport(*max_firing(circuit, cap))
 
 
 def firing_patterns(circuit: Circuit, cap: int | None = None) -> list[tuple]:
@@ -333,14 +413,22 @@ def firing_patterns(circuit: Circuit, cap: int | None = None) -> list[tuple]:
     masks = [m for g, m in zip(circuit.gates, masks) if g.kind != INPUT]
     if not masks:
         return [()]
-    cols = np.stack([_lanes(m, total) for m in masks])  # gates x inputs
-    # one row of big-endian bytes per input: bytewise order is tuple order
-    rows = np.ascontiguousarray(np.packbits(cols, axis=0).T)
-    width = rows.shape[1]
+    # one row of big-endian bytes per input, so bytewise order is tuple
+    # order; built transposed, so each gate ORs into one contiguous byte row
+    width = (len(masks) + 7) >> 3
+    packed = np.zeros((width, total), dtype=np.uint8)
+    for k, m in enumerate(masks):
+        packed[k >> 3] |= _lanes(m, total) << np.uint8(7 - (k & 7))
+    rows = np.ascontiguousarray(packed.T)
     uniq = np.unique(rows.view(np.dtype((np.void, width))).ravel())
     uniq = uniq.view(np.uint8).reshape(-1, width)
-    bits = np.unpackbits(uniq, axis=1, count=len(masks))
-    return list(map(tuple, map(bytes, bits)))  # a bytes row iterates as 0/1 ints
+    out: list[tuple] = []
+    # unpacked 1024 rows at a time: all at once would add a byte per gate
+    # per pattern to the peak, beside the tuples
+    for lo in range(0, len(uniq), 1024):
+        bits = np.unpackbits(uniq[lo : lo + 1024], axis=1, count=len(masks))
+        out += map(tuple, map(bytes, bits))  # a bytes row iterates as 0/1 ints
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def check_compile_all_functions(level: str = FULL, cap_n: int | None = None) -> 
         for bits in range(1 << (1 << n)):
             c = compile_truth_table(TruthTable(n, bits))
             problems = []
-            if gate_masks(c)[c.output] != bits:
+            if truth_table(c).bits != bits:
                 problems.append("computes the wrong function")
             ec = energy_exhaustive(c).ec
             if ec > bound:
@@ -290,7 +290,7 @@ def check_tree_compile(level: str = FULL, cap_n: int | None = None) -> CheckResu
     for label, n, root, d, bits in _tree_cases(level, tally):
         c = dt_to_circuit(DecisionTree(n, root)).circuit
         problems = []
-        if gate_masks(c)[c.output] != bits:
+        if truth_table(c).bits != bits:
             problems.append("not equivalent to the tree")
         negs = sum(1 for g in c.gates if g.kind == NOT)
         if negs > d:
@@ -324,7 +324,7 @@ def check_tree_fanin2(level: str = FULL, cap_n: int | None = None) -> CheckResul
         problems = []
         if c2.max_fanin() > 2:
             problems.append(f"fan-in {c2.max_fanin()}")
-        if gate_masks(c2)[c2.output] != bits:
+        if truth_table(c2).bits != bits:
             problems.append("not equivalent to the tree")
         ec = energy_exhaustive(c2).ec
         bound = 2 * d * d * (d + 1)

@@ -2,6 +2,8 @@ import pytest
 
 from circuit_energy import (
     INPUT,
+    CapExceeded,
+    LengthMismatch,
     NoPathFound,
     NOT,
     TruthTable,
@@ -57,6 +59,12 @@ def test_positive_path_requires_sensitivity():
         find_positive_path(c, (1, 0), 0)  # f=0 here and stays 0
     with pytest.raises(NoPathFound):
         find_positive_path(c, (0, 1), 0)  # a_0 = 0
+    with pytest.raises(NoPathFound):
+        find_positive_path(c, (1, 1), 2)  # no x2
+    with pytest.raises(LengthMismatch):
+        find_positive_path(c, (1, 1, 1), 0)
+    with pytest.raises(CapExceeded):
+        find_positive_path(c, (1, 1), 0, cap=1)
 
 
 def test_positive_path_prefers_low_gate_ids():

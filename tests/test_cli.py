@@ -40,6 +40,28 @@ def test_patterns(or2_path, capsys):
     assert sorted(lines[1:]) == ["0", "1"]
 
 
+def _or_chain(tmp_path, n, ors):
+    """n inputs and a chain of ``ors`` ORs that all fire once x0 or x1 does."""
+    lines = [f"INPUT x{i}" for i in range(n)] + ["o0 = OR x0 x1"]
+    lines += [f"o{k} = OR o{k - 1} x{(k + 1) % n}" for k in range(1, ors)]
+    path = tmp_path / "chain.cir"
+    path.write_text("\n".join(lines) + f"\nOUTPUT o{ors - 1}\n")
+    return str(path)
+
+
+def test_energy_streams_over_blocks(tmp_path, capsys):
+    # whole-width masks would take 3 000 x 256 KB
+    assert main(["energy", _or_chain(tmp_path, 21, 3000)]) == 0
+    assert capsys.readouterr().out.strip() == "EC=3000 argmax=1" + "0" * 20
+
+
+def test_patterns_prices_its_masks_first(tmp_path, capsys):
+    # 3 024 masks of 2 MB: refused before any is built
+    assert main(["patterns", _or_chain(tmp_path, 24, 3000)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_input_is_a_usage_error(or2_path, capsys):
     assert main(["eval", or2_path, "--input", "2x"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from circuit_energy import (
     equivalent,
     evaluate,
     firing_patterns,
+    gate_masks,
     is_monotone,
     psens,
     psens_at,
@@ -19,6 +22,7 @@ from circuit_energy import (
 )
 from circuit_energy.corpus import CIRCUIT, MONOTONE, GenSpec, fixture, generate
 from circuit_energy.ir import INPUT
+from circuit_energy.semantics import BLOCK_VARS
 from circuit_energy.textio import parse_netlist
 
 XOR2 = TruthTable(2, 0b0110)
@@ -52,6 +56,7 @@ SWEEP_CASES = {
     "n6-300-gates": _circuit(6, 300, seed=3),
     "n8-300-gates": _circuit(8, 300, MONOTONE, seed=4),
     "n10": _circuit(10, 60, seed=5),
+    "n12-1824-patterns": _circuit(12, 80, seed=9),
     "n17": _circuit(17, 6, seed=6),
 }
 
@@ -83,6 +88,60 @@ def test_sweeps_match_evaluate_on_every_input(name):
     rows = {tuple(v for g, v in zip(c.gates, t.gate_values) if g.kind != INPUT)
             for t in traces}
     assert firing_patterns(c) == sorted(rows)
+
+
+# --------------------------------------------------------------------------
+# blocked sweeps: n > BLOCK_VARS
+
+
+def _inputs(n):
+    return "".join(f"INPUT x{i}\n" for i in range(n))
+
+
+def test_blocked_sweeps_hold_kilobytes_of_masks():
+    c = _circuit(20, 300, seed=7)
+    var_masks(BLOCK_VARS)  # the cached columns are shared by every sweep
+    for fn in (energy_exhaustive, truth_table):
+        tracemalloc.start()
+        try:
+            fn(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (fn.__name__, peak)
+
+
+@pytest.mark.parametrize("body, ec, index", [
+    # block 0 peaks at 1 (input 3); only block 1 reaches 2
+    ("a = AND x0 x1\nb = AND a x16\nOUTPUT b\n", 2, 3 | 1 << 16),
+    # both blocks peak at 2: the first argmax stays in block 0
+    ("a = AND x0 x1\nb = OR x2 x16\nOUTPUT b\n", 2, 7),
+])
+def test_first_argmax_across_blocks(body, ec, index):
+    c = parse_netlist(_inputs(17) + body)
+    rep = energy_exhaustive(c)
+    assert rep.ec == ec
+    assert rep.argmax_input == tuple((index >> i) & 1 for i in range(17))
+    arr = energies(c)
+    assert int(arr.max()) == ec and int(arr.argmax()) == index
+
+
+DEAD_GATES = (
+    "dead = AND x16 x17\n"
+    "a = OR x0 x17\n"
+    "na = NOT a\n"
+    "b = AND na x16\n"
+    "o = OR b x1\n"
+    "after = NOT o\n"
+    "OUTPUT o\n"
+)
+
+
+@pytest.mark.parametrize("c", [parse_netlist(_inputs(18) + DEAD_GATES)]
+                         + [_circuit(18, 40, seed=s) for s in range(4)])
+def test_truth_table_matches_gate_masks_over_blocks(c):
+    assert c.num_vars == 18
+    assert truth_table(c).bits == gate_masks(c)[c.output]
 
 
 def test_truth_table_from_values_and_cofactor():
@@ -190,5 +249,6 @@ def test_equivalent_pads_to_common_width():
 def test_eval_cap_guard():
     big = GenSpec(seed=0, num_vars=30, size_budget=3, shape="CIRCUIT")
     c = generate(big)
-    with pytest.raises(CapExceeded):
-        truth_table(c)
+    for sweep in (truth_table, energy_exhaustive, energies, gate_masks):
+        with pytest.raises(CapExceeded):
+            sweep(c)
