@@ -140,8 +140,10 @@ def dt_from_patterns(circuit: Circuit, cap: int | None = None) -> TradeoffReport
     """
     n = circuit.num_vars
     stats_size = sum(1 for g in circuit.gates if g.kind in OP_KINDS)
-    energy = energy_exhaustive(circuit, cap).ec
+    # firing_patterns prices its whole-width masks, so an oversized circuit
+    # is refused before the energy sweep runs
     t = len(firing_patterns(circuit, cap))
+    energy = energy_exhaustive(circuit, cap).ec
     ell = max(1, circuit.max_fanin())
 
     def extract(c: Circuit):

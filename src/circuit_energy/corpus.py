@@ -27,6 +27,7 @@ from .ir import (
     input_gate,
     not_gate,
 )
+from .synth import check_gate_budget, minterm_cascade
 
 CIRCUIT = "CIRCUIT"
 FORMULA = "FORMULA"
@@ -238,7 +239,8 @@ _FIX_TAP = re.compile(r"cascade_tap\((\d+),(\d+)\)$")
 
 
 def fixture(name: str) -> Circuit:
-    """Named fixture circuits.
+    """Named fixture circuits.  Each prices its gate count against
+    ``synth.GATE_BUDGET`` before it builds.
 
     parity<k>_dnf       DNF of all odd-weight minterms, shared input negations
     and_tree(k)         balanced fan-in-2 conjunction of k variables
@@ -251,11 +253,14 @@ def fixture(name: str) -> Circuit:
         k = int(m.group(1))
         if k < 2:
             raise UnknownFixture(f"parity{k}_dnf needs k >= 2")
+        # the exponent is clamped so that pricing a huge k allocates nothing
+        check_gate_budget(name, 2 * k + (1 << min(k - 1, 62)) + 1)
         return _parity_dnf(k)
     if m := _FIX_TREE.match(name):
         kind, k = m.group(1), int(m.group(2))
         if k < 2:
             raise UnknownFixture(f"{kind}_tree({k}) needs k >= 2")
+        check_gate_budget(name, 2 * k - 1)
         gates: list[Gate] = [input_gate(v) for v in range(k)]
         out = _balanced(AND if kind == "and" else OR, gates, list(range(k)))
         return Circuit(k, gates, out, FANIN2)
@@ -263,14 +268,15 @@ def fixture(name: str) -> Circuit:
         k = int(m.group(1))
         if k < 1:
             raise UnknownFixture(f"addr({k}) needs k >= 1")
+        check_gate_budget(name, 2 * k + (2 << min(k, 62)) + 1)
         return _addr(k)
     if m := _FIX_TAP.match(name):
-        from .synth import minterm_cascade
-
         n, j = int(m.group(1)), int(m.group(2))
-        if n < 1 or not 0 <= j < (1 << n):
+        if n < 1:
             raise UnknownFixture(f"cascade_tap({n},{j}) is out of range")
         mc = minterm_cascade(n)
+        if j >= len(mc.taps):
+            raise UnknownFixture(f"cascade_tap({n},{j}) is out of range")
         base = mc.circuit
         return Circuit(base.num_vars, base.gates, mc.taps[j], base.fanin_mode)
     raise UnknownFixture(name)

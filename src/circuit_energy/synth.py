@@ -36,6 +36,15 @@ from .ir import (
 )
 
 SYNTH_CAP = 24
+GATE_BUDGET = 1 << 20  # gates a construction may build; priced before building
+
+
+def check_gate_budget(what: str, gates: int) -> None:
+    """Refuse a construction whose predicted gate count is over GATE_BUDGET."""
+    if gates > GATE_BUDGET:
+        raise CapExceeded(
+            f"{what} would build at least {gates} gates, over the {GATE_BUDGET} budget"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -141,6 +150,7 @@ def minterm_cascade(n: int, cap: int | None = None) -> MintermCascade:
     limit = SYNTH_CAP if cap is None else cap
     if n > limit:
         raise CapExceeded(f"n={n} exceeds the construction cap {limit}")
+    check_gate_budget(f"the n={n} cascade", 2 * n + (2 << n) - 4)
     return _cascade(n)
 
 

@@ -4,13 +4,30 @@ Each check sweeps an exhaustive or seeded corpus, re-derives the claimed
 bound from first principles (truth tables, energy sweeps, oracle decision
 trees), and reports violations with witnesses.  ``full`` level is the
 acceptance configuration; ``smoke`` runs the same logic on a small slice.
+
+A check is its claim, ``cases(level)``, which yields ``(label, n, payload)``,
+and ``judge(payload)``, which returns ``(problems, score, witness)``.  The
+driver, ``run_all``, owns the rest.  It counts instances and violations and
+keeps the first five failures as ``"<label>: <problems>"``.  The extremal
+witness is that of the first case with the strictly largest score (a judge
+may return no score; ``witness()`` renders the string and runs only for a new
+maximum).  With ``cap_n``, a case with n > cap_n is dropped before any judge
+runs.  Checks that share a ``cases`` function share one walk of it: each case
+is made once and every selected check judges it.  The walk's own time is
+charged to the group's first check and each judge's time to its own check.
+A case whose payload is ``_Invalid`` says the corpus itself is wrong and
+counts as a violation of every check in its walk.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import product
 from time import perf_counter
+from typing import Any
 
 import numpy as np
 
@@ -43,8 +60,10 @@ from .ir import (
     Circuit,
     DecisionTree,
     Gate,
+    bounded,
     dt_depth_of,
     not_gate,
+    restrict,
     structural_stats,
 )
 from .kw import make_instance, run_protocol
@@ -59,10 +78,27 @@ from .semantics import (
     truth_table,
     var_masks,
 )
-from .synth import compile_truth_table, dt_to_circuit, fanin2_reduce, minterm_cascade
+from .synth import (
+    DtCompileResult,
+    compile_truth_table,
+    connector_merge,
+    dt_to_circuit,
+    fanin2_reduce,
+    minterm_cascade,
+)
 
 SMOKE = "smoke"
 FULL = "full"
+
+Verdict = tuple[list[str], float | None, Callable[[], str] | None]
+
+
+@dataclass(frozen=True, slots=True)
+class Check:
+    check_id: str
+    claim: str
+    cases: Callable[[str], Iterator[tuple[str, int, Any]]]
+    judge: Callable[[Any], Verdict]
 
 
 @dataclass(slots=True)
@@ -103,33 +139,26 @@ class Report:
         return asdict(self)
 
 
-class _Tally:
-    """Instance counter that keeps the first few failure messages."""
+CHECKS: dict[str, Check] = {}
 
-    def __init__(self) -> None:
-        self.tried = 0
-        self.violations = 0
-        self.failures: list[str] = []
 
-    def add(self, problems: list[str], label: str) -> None:
-        self.tried += 1
-        if problems:
-            self.violations += 1
-            if len(self.failures) < 5:
-                self.failures.append(f"{label}: {'; '.join(problems)}")
+def _check(check_id: str, cases: Callable[[str], Iterator], claim: str):
+    """Register the decorated judge as a check; the suite runs in this order."""
 
-    def result(
-        self, check_id: str, claim: str, witness: str | None, t0: float
-    ) -> CheckResult:
-        return CheckResult(
-            check_id,
-            claim,
-            self.tried,
-            self.violations,
-            self.failures,
-            witness,
-            perf_counter() - t0,
-        )
+    def register(judge):
+        CHECKS[check_id] = Check(check_id, claim, cases, judge)
+        return judge
+
+    return register
+
+
+class _Invalid(str):
+    """A case payload saying that the corpus itself is wrong."""
+
+
+def _point(x: int, n: int) -> tuple[int, ...]:
+    """Input number x as a 0/1 tuple, x0 first."""
+    return tuple((x >> i) & 1 for i in range(n))
 
 
 # --------------------------------------------------------------------------
@@ -191,167 +220,147 @@ def _all_reduced_trees(num_vars: int, depth: int):
     return enumerate_lazy(), predicted(depth, num_vars), cache
 
 
-def _tree_cases(level: str, tally: _Tally):
-    """Every tree the two tree checks compile, as (label, n, root, depth,
-    truth-table bits): all reduced trees of the exhaustive corpus, labelled
-    by their 0-based enumeration index, then the seeded random DTREE trees.
-    An enumeration that disagrees with the closed form is a violation."""
+@dataclass
+class _Tree:
+    """One corpus tree.  Its compile is made on first use and then shared by
+    both tree checks, so a dropped case costs no compile."""
+
+    n: int
+    root: Any
+    bits: int
+
+    @cached_property
+    def compiled(self) -> DtCompileResult:
+        return dt_to_circuit(DecisionTree(self.n, self.root))
+
+
+def _tree_cases(level: str):
+    """Every tree the two tree checks compile: all reduced trees of the
+    exhaustive corpus, labelled by their 0-based enumeration index, then the
+    seeded random DTREE trees.  An enumeration that disagrees with the
+    closed form is a violation."""
     n_exh, depth, rand = (3, 2, 50) if level == SMOKE else (4, 3, 500)
     exhaustive, expected, _ = _all_reduced_trees(n_exh, depth)
     memo: dict = {}  # _dt_bits keys by node alone, so one memo per n
     k = -1
     for k, root in enumerate(exhaustive):
-        yield f"tree {k}", n_exh, root, dt_depth_of(root), _dt_bits(root, n_exh, memo)
+        yield f"tree {k}", n_exh, _Tree(n_exh, root, _dt_bits(root, n_exh, memo))
     if k + 1 != expected:
-        tally.add([f"enumerated {k + 1} trees, closed form says {expected}"], "enumeration")
+        miscount = f"enumerated {k + 1} trees, closed form says {expected}"
+        yield "enumeration", n_exh, _Invalid(miscount)
     memo = {}
     for s in range(rand):
         root = generate(GenSpec(seed=s, num_vars=8, size_budget=6, shape=DTREE)).root
-        yield f"random tree seed={s}", 8, root, dt_depth_of(root), _dt_bits(root, 8, memo)
+        yield f"random tree seed={s}", 8, _Tree(8, root, _dt_bits(root, 8, memo))
 
 
 def _psens_specs(level: str) -> list[GenSpec]:
     count = 100 if level == SMOKE else 1000
     return [
-        GenSpec(
-            seed=s,
-            num_vars=2 + s % 7,
-            size_budget=5 + (s * 7) % 36,
-            neg_density=((s * 13) % 8) / 16.0,
-            shape=CIRCUIT,
-            fanin_mode=FANIN2,
-        )
+        GenSpec(seed=s, num_vars=2 + s % 7, size_budget=5 + (s * 7) % 36,
+                neg_density=((s * 13) % 8) / 16.0, shape=CIRCUIT, fanin_mode=FANIN2)
         for s in range(count)
     ]
 
 
 # --------------------------------------------------------------------------
-# the checks
+# the checks, in suite order: each judge under its claim and cases
 
 
-def check_compile_all_functions(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = "every n-variable function compiles to an equivalent circuit with EC <= 3n-1"
-    t0 = perf_counter()
-    tally = _Tally()
-    ns = [3] if level == SMOKE else [3, 4]
-    if cap_n is not None:
-        ns = [n for n in ns if n <= cap_n]
-    worst = (-1, None)
-    for n in ns:
-        bound = 3 * n - 1
+def _function_cases(level: str):
+    for n in [3] if level == SMOKE else [3, 4]:
         for bits in range(1 << (1 << n)):
-            c = compile_truth_table(TruthTable(n, bits))
-            problems = []
-            if truth_table(c).bits != bits:
-                problems.append("computes the wrong function")
-            ec = energy_exhaustive(c).ec
-            if ec > bound:
-                problems.append(f"EC={ec} > {bound}")
-            if ec > worst[0]:
-                worst = (ec, f"n={n} bits={bits:#x} EC={ec}")
-            tally.add(problems, f"n={n} bits={bits:#x}")
-    return tally.result("compile-all-functions", claim, worst[1], t0)
+            yield f"n={n} bits={bits:#x}", n, TruthTable(n, bits)
 
 
-def check_cascade_taps(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = "the minterm cascade fires exactly one tap per input, energy <= 2n-1"
-    t0 = perf_counter()
-    tally = _Tally()
-    top = 6 if level == SMOKE else 10
-    if cap_n is not None:
-        top = min(top, cap_n)
-    worst = None
-    for n in range(1, top + 1):
-        mc = minterm_cascade(n)
-        masks = gate_masks(mc.circuit)
-        problems = []
-        for j, tap in enumerate(mc.taps):
-            if masks[tap] != 1 << j:
-                problems.append(f"tap {j} fires on the wrong inputs")
-                break
-        rep = energy_exhaustive(mc.circuit)
-        if rep.ec > 2 * n - 1:
-            problems.append(f"EC={rep.ec} > {2 * n - 1}")
-        if n == 1 and rep.ec != 1:
-            problems.append(f"n=1 EC={rep.ec} != 1")
-        worst = f"n={n} EC={rep.ec} argmax={rep.argmax_input}"
-        tally.add(problems, f"n={n}")
-    return tally.result("cascade-taps", claim, worst, t0)
+@_check("compile-all-functions", _function_cases,
+        "every n-variable function compiles to an equivalent circuit with EC <= 3n-1")
+def _judge_function(f: TruthTable) -> Verdict:
+    n, bits = f.num_vars, f.bits
+    c = compile_truth_table(f)
+    problems = []
+    if truth_table(c).bits != bits:
+        problems.append("computes the wrong function")
+    ec = energy_exhaustive(c).ec
+    if ec > 3 * n - 1:
+        problems.append(f"EC={ec} > {3 * n - 1}")
+    return problems, ec, lambda: f"n={n} bits={bits:#x} EC={ec}"
 
 
-def check_tree_compile(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = (
+@_check("cascade-taps",
+        lambda level: ((f"n={n}", n, n) for n in range(1, 7 if level == SMOKE else 11)),
+        "the minterm cascade fires exactly one tap per input, energy <= 2n-1")
+def _judge_cascade(n: int) -> Verdict:
+    mc = minterm_cascade(n)
+    masks = gate_masks(mc.circuit)
+    problems = []
+    for j, tap in enumerate(mc.taps):
+        if masks[tap] != 1 << j:
+            problems.append(f"tap {j} fires on the wrong inputs")
+            break
+    rep = energy_exhaustive(mc.circuit)
+    if rep.ec > 2 * n - 1:
+        problems.append(f"EC={rep.ec} > {2 * n - 1}")
+    if n == 1 and rep.ec != 1:
+        problems.append(f"n=1 EC={rep.ec} != 1")
+    return problems, rep.ec, lambda: f"n={n} EC={rep.ec} argmax={rep.argmax_input}"
+
+
+@_check("tree-compile", _tree_cases,
         "depth-d trees compile with <= d negations, EC <= 2d^2, OR fan-in 2, "
-        "AND fan-in <= d+2, no literal-fed OR"
-    )
-    t0 = perf_counter()
-    tally = _Tally()
-    worst = (-1, None)
-    for label, n, root, d, bits in _tree_cases(level, tally):
-        c = dt_to_circuit(DecisionTree(n, root)).circuit
-        problems = []
-        if truth_table(c).bits != bits:
-            problems.append("not equivalent to the tree")
-        negs = sum(1 for g in c.gates if g.kind == NOT)
-        if negs > d:
-            problems.append(f"negations {negs} > depth {d}")
-        for g in c.gates:
-            if g.kind == OR:
-                if len(g.children) != 2:
-                    problems.append(f"OR fan-in {len(g.children)}")
-                for ch in g.children:
-                    if c.gates[ch].kind in (INPUT, NOT):
-                        problems.append("OR fed by a literal")
-                        break
-            elif g.kind == AND and len(g.children) > d + 2:
-                problems.append(f"AND fan-in {len(g.children)} > {d + 2}")
-        ec = energy_exhaustive(c).ec
-        if ec > 2 * d * d:
-            problems.append(f"EC={ec} > {2 * d * d}")
-        if ec > worst[0]:
-            worst = (ec, f"tree={root!r} d={d} EC={ec}")
-        tally.add(problems, label)
-    return tally.result("tree-compile", claim, worst[1], t0)
+        "AND fan-in <= d+2, no literal-fed OR")
+def _judge_tree_compile(t: _Tree) -> Verdict:
+    c, d = t.compiled.circuit, t.compiled.tree_depth
+    problems = []
+    if truth_table(c).bits != t.bits:
+        problems.append("not equivalent to the tree")
+    negs = sum(1 for g in c.gates if g.kind == NOT)
+    if negs > d:
+        problems.append(f"negations {negs} > depth {d}")
+    for g in c.gates:
+        if g.kind == OR:
+            if len(g.children) != 2:
+                problems.append(f"OR fan-in {len(g.children)}")
+            for ch in g.children:
+                if c.gates[ch].kind in (INPUT, NOT):
+                    problems.append("OR fed by a literal")
+                    break
+        elif g.kind == AND and len(g.children) > d + 2:
+            problems.append(f"AND fan-in {len(g.children)} > {d + 2}")
+    ec = energy_exhaustive(c).ec
+    if ec > 2 * d * d:
+        problems.append(f"EC={ec} > {2 * d * d}")
+    return problems, ec, lambda: f"tree={t.root!r} d={d} EC={ec}"
 
 
-def check_tree_fanin2(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = "the fan-in-2 expansion of compiled trees keeps equivalence with EC <= 2d^2(d+1)"
-    t0 = perf_counter()
-    tally = _Tally()
-    worst = (-1, None)
-    for label, n, root, d, bits in _tree_cases(level, tally):
-        c2 = fanin2_reduce(dt_to_circuit(DecisionTree(n, root)))
-        problems = []
-        if c2.max_fanin() > 2:
-            problems.append(f"fan-in {c2.max_fanin()}")
-        if truth_table(c2).bits != bits:
-            problems.append("not equivalent to the tree")
-        ec = energy_exhaustive(c2).ec
-        bound = 2 * d * d * (d + 1)
-        if ec > bound:
-            problems.append(f"EC={ec} > {bound}")
-        if ec > worst[0]:
-            worst = (ec, f"tree={root!r} d={d} EC={ec}")
-        tally.add(problems, label)
-    return tally.result("tree-fanin2", claim, worst[1], t0)
+@_check("tree-fanin2", _tree_cases,
+        "the fan-in-2 expansion of compiled trees keeps equivalence with EC <= 2d^2(d+1)")
+def _judge_tree_fanin2(t: _Tree) -> Verdict:
+    c2, d = fanin2_reduce(t.compiled), t.compiled.tree_depth
+    problems = []
+    if c2.max_fanin() > 2:
+        problems.append(f"fan-in {c2.max_fanin()}")
+    if truth_table(c2).bits != t.bits:
+        problems.append("not equivalent to the tree")
+    ec = energy_exhaustive(c2).ec
+    bound = 2 * d * d * (d + 1)
+    if ec > bound:
+        problems.append(f"EC={ec} > {bound}")
+    return problems, ec, lambda: f"tree={t.root!r} d={d} EC={ec}"
 
 
-def check_psens_floor(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = "(c+1)*EC >= psens(f) on fan-in-c circuits; conjunctions need EC >= k/3"
-    t0 = perf_counter()
-    tally = _Tally()
-    worst = (-1.0, None)
+def _psens_cases(level: str):
     for spec in _psens_specs(level):
-        c = generate(spec)
-        rep = check_psens_bound(c)
-        problems = [] if rep.holds else [
-            f"(c+1)*EC = {(rep.fanin_bound + 1) * rep.ec} < psens = {rep.psens}"
-        ]
-        if rep.ec and rep.psens / rep.ec > worst[0]:
-            worst = (rep.psens / rep.ec, f"seed={spec.seed} psens={rep.psens} EC={rep.ec}")
-        tally.add(problems, f"seed={spec.seed}")
-    top = 6 if level == SMOKE else 9
-    for k in range(2, top + 1):
+        yield f"seed={spec.seed}", spec.num_vars, spec
+    for k in range(2, 7 if level == SMOKE else 10):
+        yield f"and_tree({k})", k, k
+
+
+@_check("psens-floor", _psens_cases,
+        "(c+1)*EC >= psens(f) on fan-in-c circuits; conjunctions need EC >= k/3")
+def _judge_psens(case: GenSpec | int) -> Verdict:
+    if isinstance(case, int):  # the conjunction of k variables
+        k = case
         c = fixture(f"and_tree({k})")
         rep = check_psens_bound(c)
         sens = psens(truth_table(c))
@@ -362,99 +371,93 @@ def check_psens_floor(level: str = FULL, cap_n: int | None = None) -> CheckResul
             problems.append(f"3*EC = {3 * rep.ec} < {k}")
         if not rep.holds:
             problems.append("bound violated")
-        tally.add(problems, f"and_tree({k})")
-    return tally.result("psens-floor", claim, worst[1], t0)
-
-
-def check_positive_paths(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = (
-        "every positively sensitive index admits an all-firing gate chain from "
-        "its input to the output or a negation feeder"
+        return problems, None, None
+    rep = check_psens_bound(generate(case))
+    problems = [] if rep.holds else [
+        f"(c+1)*EC = {(rep.fanin_bound + 1) * rep.ec} < psens = {rep.psens}"
+    ]
+    if not rep.ec:
+        return problems, None, None
+    return problems, rep.psens / rep.ec, lambda: (
+        f"seed={case.seed} psens={rep.psens} EC={rep.ec}"
     )
-    t0 = perf_counter()
-    tally = _Tally()
-    longest = (-1, None)
+
+
+def _path_cases(level: str):
+    """One case per (circuit, input, positively sensitive index)."""
     for spec in _psens_specs(level):
         c = generate(spec)
         f = truth_table(c)
         consumers = c.consumers()
         for a_int in range(1 << c.num_vars):
-            a = tuple((a_int >> i) & 1 for i in range(c.num_vars))
-            for i in sorted(psens_at(f, a)):
-                problems = []
-                try:
-                    path = find_positive_path(c, a, i)
-                except Exception as exc:  # noqa: BLE001 - any failure is a violation
-                    tally.add([f"x{i}: {exc}"], f"seed={spec.seed} a={a_int:#x}")
-                    continue
-                vals = evaluate(c, a).gate_values
-                ids = path.gate_ids
-                start = c.gates[ids[0]]
-                if start.kind != INPUT or start.arg != i:
-                    problems.append("path does not start at the queried input")
-                if any(vals[g] == 0 for g in ids):
-                    problems.append("a path gate does not fire")
-                for g, h in zip(ids, ids[1:]):
-                    if g not in c.gates[h].children:
-                        problems.append("consecutive path gates are not wired")
-                        break
-                if path.terminal == "ROOT":
-                    if ids[-1] != c.output:
-                        problems.append("ROOT path does not end at the output")
-                else:
-                    nid = path.not_gate_id
-                    if (
-                        nid is None
-                        or c.gates[nid].kind != NOT
-                        or ids[-1] not in c.gates[nid].children
-                        or nid not in consumers[ids[-1]]
-                    ):
-                        problems.append("FEEDS_NOT path does not feed the named NOT")
-                if len(ids) > longest[0]:
-                    longest = (len(ids), f"seed={spec.seed} a={a_int:#x} x{i} len={len(ids)}")
-                tally.add(problems, f"seed={spec.seed} a={a_int:#x} x{i}")
-    return tally.result("positive-paths", claim, longest[1], t0)
+            for i in sorted(psens_at(f, _point(a_int, c.num_vars))):
+                label = f"seed={spec.seed} a={a_int:#x} x{i}"
+                yield label, c.num_vars, (label, c, consumers, a_int, i)
 
 
-def check_pattern_tree(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = (
+@_check("positive-paths", _path_cases,
+        "every positively sensitive index admits an all-firing gate chain from "
+        "its input to the output or a negation feeder")
+def _judge_path(case) -> Verdict:
+    label, c, consumers, a_int, i = case
+    a = _point(a_int, c.num_vars)
+    try:
+        path = find_positive_path(c, a, i)
+    except Exception as exc:  # noqa: BLE001 - any failure is a violation
+        return [str(exc)], None, None
+    problems = []
+    vals = evaluate(c, a).gate_values
+    ids = path.gate_ids
+    start = c.gates[ids[0]]
+    if start.kind != INPUT or start.arg != i:
+        problems.append("path does not start at the queried input")
+    if any(vals[g] == 0 for g in ids):
+        problems.append("a path gate does not fire")
+    if any(g not in c.gates[h].children for g, h in zip(ids, ids[1:])):
+        problems.append("consecutive path gates are not wired")
+    if path.terminal == "ROOT":
+        if ids[-1] != c.output:
+            problems.append("ROOT path does not end at the output")
+    else:
+        nid = path.not_gate_id
+        if (
+            nid is None
+            or c.gates[nid].kind != NOT
+            or ids[-1] not in c.gates[nid].children
+            or nid not in consumers[ids[-1]]
+        ):
+            problems.append("FEEDS_NOT path does not feed the named NOT")
+    return problems, len(ids), lambda: f"{label} len={len(ids)}"
+
+
+def _pattern_cases(level: str):
+    for s in range(60 if level == SMOKE else 500):
+        spec = GenSpec(seed=s, num_vars=2 + s % 4, size_budget=3 + (s * 3) % 12,
+                       neg_density=(s % 5) / 8.0, shape=CIRCUIT,
+                       fanin_mode=FANIN2 if s % 2 == 0 else UNBOUNDED)
+        yield f"seed={s}", spec.num_vars, spec
+
+
+@_check("pattern-tree", _pattern_cases,
         "firing-pattern extraction: tree equivalent, depth <= maxFanin*patterns, "
-        "patterns <= size^EC + 1, and DT(f) <= maxFanin*patterns"
+        "patterns <= size^EC + 1, and DT(f) <= maxFanin*patterns")
+def _judge_pattern_tree(spec: GenSpec) -> Verdict:
+    c = generate(spec)
+    rep = dt_from_patterns(c)
+    problems = []
+    if _dt_bits(rep.extracted_tree.root, c.num_vars, {}) != truth_table(c).bits:
+        problems.append("extracted tree differs from the circuit")
+    depth = dt_depth_of(rep.extracted_tree.root)
+    budget = rep.max_fanin * rep.pattern_count
+    if depth > budget:
+        problems.append(f"depth {depth} > {budget}")
+    if rep.pattern_count > rep.size**rep.energy + 1:
+        problems.append(f"patterns {rep.pattern_count} > {rep.size}^{rep.energy} + 1")
+    if rep.dt_oracle is not None and rep.dt_oracle > budget:
+        problems.append(f"DT(f) = {rep.dt_oracle} > {budget}")
+    return problems, rep.pattern_count, lambda: (
+        f"seed={spec.seed} patterns={rep.pattern_count}"
     )
-    t0 = perf_counter()
-    tally = _Tally()
-    count = 60 if level == SMOKE else 500
-    worst = (-1, None)
-    for s in range(count):
-        spec = GenSpec(
-            seed=s,
-            num_vars=2 + s % 4,
-            size_budget=3 + (s * 3) % 12,
-            neg_density=(s % 5) / 8.0,
-            shape=CIRCUIT,
-            fanin_mode=FANIN2 if s % 2 == 0 else UNBOUNDED,
-        )
-        c = generate(spec)
-        rep = dt_from_patterns(c)
-        problems = []
-        n = c.num_vars
-        memo: dict = {}
-        if _dt_bits(rep.extracted_tree.root, n, memo) != truth_table(c).bits:
-            problems.append("extracted tree differs from the circuit")
-        depth = dt_depth_of(rep.extracted_tree.root)
-        budget = rep.max_fanin * rep.pattern_count
-        if depth > budget:
-            problems.append(f"depth {depth} > {budget}")
-        if rep.pattern_count > rep.size**rep.energy + 1:
-            problems.append(
-                f"patterns {rep.pattern_count} > {rep.size}^{rep.energy} + 1"
-            )
-        if rep.dt_oracle is not None and rep.dt_oracle > budget:
-            problems.append(f"DT(f) = {rep.dt_oracle} > {budget}")
-        if rep.pattern_count > worst[0]:
-            worst = (rep.pattern_count, f"seed={s} patterns={rep.pattern_count}")
-        tally.add(problems, f"seed={s}")
-    return tally.result("pattern-tree", claim, worst[1], t0)
 
 
 def _negation_equivalent(c: Circuit, rng: np.random.Generator) -> Circuit:
@@ -486,275 +489,265 @@ def _negation_equivalent(c: Circuit, rng: np.random.Generator) -> Circuit:
     return Circuit(c.num_vars, gates, remap[c.output], c.fanin_mode)
 
 
-def check_kw_bits(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = (
-        "the game transcript returns a separating index with "
-        "aliceBits <= EC(C, a') * ceil(log2 c)"
-    )
-    t0 = perf_counter()
-    tally = _Tally()
-    want = 20 if level == SMOKE else 200
-    pairs_per = 10 if level == SMOKE else 50
-    worst = (-1, None)
+def _kw_cases(level: str):
+    """Seeded non-constant monotone circuits, each with a negation-rewritten
+    twin, and random (1-input, 0-input) pairs played on both."""
+    want, pairs_per = (20, 10) if level == SMOKE else (200, 50)
     s = 0
     found = 0
     while found < want:
-        spec = GenSpec(
-            seed=s,
-            num_vars=2 + s % 6,
-            size_budget=4 + (s * 5) % 20,
-            shape=MONOTONE,
-            fanin_mode=FANIN2,
-        )
+        spec = GenSpec(seed=s, num_vars=2 + s % 6, size_budget=4 + (s * 5) % 20,
+                       shape=MONOTONE, fanin_mode=FANIN2)
         s += 1
         c = generate(spec)
+        n = c.num_vars
         f = truth_table(c)
-        ones = [j for j in range(1 << c.num_vars) if f.value(j)]
-        zeros = [j for j in range(1 << c.num_vars) if not f.value(j)]
+        ones = [j for j in range(1 << n) if f.value(j)]
+        zeros = [j for j in range(1 << n) if not f.value(j)]
         if not ones or not zeros:
             continue
         found += 1
         rng = np.random.Generator(np.random.Philox(10_000 + s))
         twisted = _negation_equivalent(c, np.random.Generator(np.random.Philox(20_000 + s)))
         if truth_table(twisted).bits != f.bits:
-            tally.add(["negation rewrite changed the function"], f"seed={spec.seed}")
+            yield f"seed={spec.seed}", n, _Invalid("negation rewrite changed the function")
             continue
         for _ in range(pairs_per):
             a_int = int(rng.choice(ones))
             b_int = int(rng.choice(zeros))
-            a = tuple((a_int >> i) & 1 for i in range(c.num_vars))
-            b = tuple((b_int >> i) & 1 for i in range(c.num_vars))
             for tag, circ in (("plain", c), ("negated", twisted)):
-                problems = []
-                tr = run_protocol(make_instance(circ, a, b))
-                if not (a[tr.result] == 1 and b[tr.result] == 0):
-                    problems.append(f"index {tr.result} does not separate")
-                ec_here = evaluate(circ, tr.minimized_input).energy
-                if tr.alice_bits > ec_here * tr.addr_bits:
-                    problems.append(
-                        f"aliceBits {tr.alice_bits} > {ec_here}*{tr.addr_bits}"
-                    )
-                if tr.repairs:
-                    problems.append(f"{tr.repairs} repair walks")
-                if tr.alice_bits > worst[0]:
-                    worst = (
-                        tr.alice_bits,
-                        f"seed={spec.seed} {tag} a={a_int:#x} b={b_int:#x} "
-                        f"alice={tr.alice_bits} EC={ec_here}",
-                    )
-                tally.add(problems, f"seed={spec.seed} {tag} a={a_int:#x} b={b_int:#x}")
-    return tally.result("kw-bits", claim, worst[1], t0)
+                label = f"seed={spec.seed} {tag} a={a_int:#x} b={b_int:#x}"
+                yield label, n, (label, circ, a_int, b_int)
 
 
-def check_formula_blocks(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = (
-        "restrictions cost <= Depth extra; the block decomposition meets its "
-        "envelopes; EC >= L/(5negs-2) - Depth - 2 and EC >= negs"
-    )
-    t0 = perf_counter()
-    tally = _Tally()
+@_check("kw-bits", _kw_cases,
+        "the game transcript returns a separating index with "
+        "aliceBits <= EC(C, a') * ceil(log2 c)")
+def _judge_kw(case) -> Verdict:
+    label, circ, a_int, b_int = case
+    a = _point(a_int, circ.num_vars)
+    b = _point(b_int, circ.num_vars)
+    problems = []
+    tr = run_protocol(make_instance(circ, a, b))
+    if not (a[tr.result] == 1 and b[tr.result] == 0):
+        problems.append(f"index {tr.result} does not separate")
+    ec_here = evaluate(circ, tr.minimized_input).energy
+    if tr.alice_bits > ec_here * tr.addr_bits:
+        problems.append(f"aliceBits {tr.alice_bits} > {ec_here}*{tr.addr_bits}")
+    if tr.repairs:
+        problems.append(f"{tr.repairs} repair walks")
+    return problems, tr.alice_bits, lambda: f"{label} alice={tr.alice_bits} EC={ec_here}"
+
+
+def _formula_cases(level: str):
+    """Seeded formulas with one to four negations."""
     want = 60 if level == SMOKE else 500
-    worst = (-1, None)
     s = 0
     found = 0
     while found < want:
-        spec = GenSpec(
-            seed=s,
-            num_vars=2 + s % 7,
-            size_budget=4 + (s * 3) % 21,
-            neg_density=0.3,
-            shape=FORMULA,
-        )
+        spec = GenSpec(seed=s, num_vars=2 + s % 7, size_budget=4 + (s * 3) % 21,
+                       neg_density=0.3, shape=FORMULA)
         s += 1
         F = generate(spec)
         st = structural_stats(F)
-        if not 1 <= st.negs <= 4:
+        if 1 <= st.negs <= 4:
+            found += 1
+            yield f"seed={spec.seed}", spec.num_vars, (spec.seed, F, st)
+
+
+@_check("formula-blocks", _formula_cases,
+        "restrictions cost <= Depth extra; the block decomposition meets its "
+        "envelopes; EC >= L/(5negs-2) - Depth - 2 and EC >= negs")
+def _judge_formula(case) -> Verdict:
+    seed, F, st = case
+    problems = []
+    ec = energy_exhaustive(F).ec
+    L = F.leaves()
+    for gid, b in product(range(len(F.gates)), (0, 1)):
+        if gid == F.output:
             continue
-        found += 1
-        problems = []
-        ec = energy_exhaustive(F).ec
-        L = F.leaves()
-        for gid in range(len(F.gates)):
-            if gid == F.output:
-                continue
-            for b in (0, 1):
-                rep = restriction_energy_check(F, gid, b)
-                if not rep.holds:
-                    problems.append(
-                        f"restriction g{gid}:={b} EC {rep.ec_restricted} > {rep.ec}+{rep.depth}"
-                    )
-                    break
-            else:
-                continue
+        rep = restriction_energy_check(F, gid, b)
+        if not rep.holds:
+            problems.append(
+                f"restriction g{gid}:={b} EC {rep.ec_restricted} > {rep.ec}+{rep.depth}"
+            )
             break
-        dec = decompose_gk(F)
-        skeleton_budget = 5 * st.negs - 2
-        if truth_table(dec.f_prime).bits != truth_table(F).bits:
-            problems.append("decomposition changed the function")
-        if dec.f_prime.leaves() > 2 * L:
-            problems.append(f"L' = {dec.f_prime.leaves()} > 2L = {2 * L}")
-        if dec.block_count > skeleton_budget:
-            problems.append(f"T = {dec.block_count} > {skeleton_budget}")
-        covered = set()
-        for lo, hi in dec.blocks:
-            covered.update(range(lo, hi + 1))
-            if any(dec.f_prime.gates[g].kind == NOT for g in range(lo, hi + 1)):
-                problems.append("a block contains a negation")
-                break
-        if any(
-            g.kind == INPUT and gid not in covered
-            for gid, g in enumerate(dec.f_prime.gates)
-        ):
-            problems.append("a leaf sits outside every block")
-        ec_prime = energy_exhaustive(dec.f_prime).ec
-        depth = st.depth
-        if ec_prime > skeleton_budget * (ec + depth + 1):
-            problems.append(
-                f"EC(F') = {ec_prime} > {skeleton_budget}*({ec}+{depth}+1)"
-            )
-        if ec * skeleton_budget < L - (depth + 2) * skeleton_budget:
-            problems.append(
-                f"EC*{skeleton_budget} = {ec * skeleton_budget} < "
-                f"{L} - ({depth}+2)*{skeleton_budget}"
-            )
-        if ec < st.negs:
-            problems.append(f"EC = {ec} < negations = {st.negs}")
-        if dec.block_count > worst[0]:
-            worst = (dec.block_count, f"seed={spec.seed} T={dec.block_count} negs={st.negs}")
-        tally.add(problems, f"seed={spec.seed}")
-    return tally.result("formula-blocks", claim, worst[1], t0)
+    dec = decompose_gk(F)
+    skeleton_budget = 5 * st.negs - 2
+    if truth_table(dec.f_prime).bits != truth_table(F).bits:
+        problems.append("decomposition changed the function")
+    if dec.f_prime.leaves() > 2 * L:
+        problems.append(f"L' = {dec.f_prime.leaves()} > 2L = {2 * L}")
+    if dec.block_count > skeleton_budget:
+        problems.append(f"T = {dec.block_count} > {skeleton_budget}")
+    covered = set()
+    for lo, hi in dec.blocks:
+        covered.update(range(lo, hi + 1))
+        if any(dec.f_prime.gates[g].kind == NOT for g in range(lo, hi + 1)):
+            problems.append("a block contains a negation")
+            break
+    if any(
+        g.kind == INPUT and gid not in covered
+        for gid, g in enumerate(dec.f_prime.gates)
+    ):
+        problems.append("a leaf sits outside every block")
+    ec_prime = energy_exhaustive(dec.f_prime).ec
+    depth = st.depth
+    if ec_prime > skeleton_budget * (ec + depth + 1):
+        problems.append(f"EC(F') = {ec_prime} > {skeleton_budget}*({ec}+{depth}+1)")
+    if ec * skeleton_budget < L - (depth + 2) * skeleton_budget:
+        problems.append(
+            f"EC*{skeleton_budget} = {ec * skeleton_budget} < "
+            f"{L} - ({depth}+2)*{skeleton_budget}"
+        )
+    if ec < st.negs:
+        problems.append(f"EC = {ec} < negations = {st.negs}")
+    return problems, dec.block_count, lambda: (
+        f"seed={seed} T={dec.block_count} negs={st.negs}"
+    )
 
 
-def check_readonce_exact(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = "read-once formulas with leaf negations spend exactly leafCount - 1"
-    t0 = perf_counter()
-    tally = _Tally()
-    count = 40 if level == SMOKE else 200
-    worst = None
-    for s in range(count):
+def _readonce_cases(level: str):
+    for s in range(40 if level == SMOKE else 200):
         L = 2 + s % 15
-        F = generate(
-            GenSpec(
-                seed=s,
-                num_vars=L,
-                size_budget=L,
-                neg_density=0.35,
-                shape=READONCE_LEAFNEG,
-            )
+        spec = GenSpec(seed=s, num_vars=L, size_budget=L, neg_density=0.35,
+                       shape=READONCE_LEAFNEG)
+        yield f"seed={s}", L, spec
+
+
+@_check("readonce-exact", _readonce_cases,
+        "read-once formulas with leaf negations spend exactly leafCount - 1")
+def _judge_readonce(spec: GenSpec) -> Verdict:
+    rep = readonce_leafneg_energy(generate(spec))
+    problems = [] if rep.equal else [f"EC = {rep.ec} != L-1 = {rep.leaf_count - 1}"]
+    return problems, rep.ec, lambda: f"seed={spec.seed} L={rep.leaf_count} EC={rep.ec}"
+
+
+def _monotone_cases(level: str):
+    for s in range(40 if level == SMOKE else 200):
+        spec = GenSpec(seed=s, num_vars=2 + s % 7, size_budget=3 + (s * 11) % 30,
+                       shape=MONOTONE, fanin_mode=FANIN2 if s % 2 == 0 else UNBOUNDED)
+        yield f"seed={s}", spec.num_vars, spec
+
+
+@_check("monotone-peak", _monotone_cases,
+        "negation-free circuits fire every binary gate on the all-ones input: EC = size")
+def _judge_monotone(spec: GenSpec) -> Verdict:
+    c = generate(spec)
+    size = structural_stats(c).size
+    problems = []
+    ec = energy_exhaustive(c).ec
+    allones = evaluate(c, (1,) * c.num_vars).energy
+    if ec != size:
+        problems.append(f"EC = {ec} != size = {size}")
+    if allones != size:
+        problems.append(f"energy(1^n) = {allones} != size = {size}")
+    return problems, size, lambda: f"seed={spec.seed} size={size}"
+
+
+@_check("parity-dnf",
+        lambda level: ((f"n={n}", n, n) for n in range(2, 4 if level == SMOKE else 5)),
+        "the shared-negation parity DNF computes parity with EC <= n+2")
+def _judge_parity(n: int) -> Verdict:
+    c = fixture(f"parity{n}_dnf")
+    problems = []
+    if truth_table(c).bits != sum(1 << j for j in range(1 << n) if bin(j).count("1") % 2):
+        problems.append("not the parity function")
+    ec = energy_exhaustive(c).ec
+    if ec > n + 2:
+        problems.append(f"EC = {ec} > {n + 2}")
+    return problems, ec, lambda: f"n={n} EC={ec}"
+
+
+@_check("nonskew-floor",
+        lambda level: ((f"seed={s}", 2 + s % 11, s) for s in range(20 if level == SMOKE else 100)),
+        "skew-free mean energy >= t/4; Monte Carlo agrees within 3 standard errors")
+def _judge_nonskew(s: int) -> Verdict:
+    n = 2 + s % 11
+    F = generate_nonskew(s, n, 4 + 2 * (s % 9))
+    stats = nonskew_energy_estimate(F, samples=4000, seed=7919 * s + 17)
+    problems = []
+    if 4 * stats.exact_energy_total < stats.t * (1 << n):
+        problems.append(
+            f"4*sum = {4 * stats.exact_energy_total} < t*2^n = {stats.t * (1 << n)}"
         )
-        rep = readonce_leafneg_energy(F)
-        problems = (
-            []
-            if rep.equal
-            else [f"EC = {rep.ec} != L-1 = {rep.leaf_count - 1}"]
-        )
-        worst = f"seed={s} L={rep.leaf_count} EC={rep.ec}"
-        tally.add(problems, f"seed={s}")
-    return tally.result("readonce-exact", claim, worst, t0)
+    sigma = float(energies(F).astype(np.float64).std())
+    if sigma == 0.0:
+        if stats.empirical_mean_energy != stats.exact_mean:
+            problems.append("zero-variance formula but the sample mean differs")
+    else:
+        se = sigma / math.sqrt(stats.sample_count)
+        gap = abs(stats.empirical_mean_energy - stats.exact_mean)
+        if gap > 3 * se:
+            problems.append(f"|MC - exact| = {gap:.4f} > 3*SE = {3 * se:.4f}")
+    ratio = stats.exact_mean / max(stats.lower_envelope, 0.25)
+    return problems, ratio, lambda: (
+        f"seed={s} mean={stats.exact_mean:.3f} t/4={stats.lower_envelope}"
+    )
 
 
-def check_monotone_peak(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = "negation-free circuits fire every binary gate on the all-ones input: EC = size"
-    t0 = perf_counter()
-    tally = _Tally()
-    count = 40 if level == SMOKE else 200
-    worst = None
-    for s in range(count):
-        spec = GenSpec(
-            seed=s,
-            num_vars=2 + s % 7,
-            size_budget=3 + (s * 11) % 30,
-            shape=MONOTONE,
-            fanin_mode=FANIN2 if s % 2 == 0 else UNBOUNDED,
-        )
-        c = generate(spec)
-        size = structural_stats(c).size
-        problems = []
-        ec = energy_exhaustive(c).ec
-        allones = evaluate(c, (1,) * c.num_vars).energy
-        if ec != size:
-            problems.append(f"EC = {ec} != size = {size}")
-        if allones != size:
-            problems.append(f"energy(1^n) = {allones} != size = {size}")
-        worst = f"seed={s} size={size}"
-        tally.add(problems, f"seed={s}")
-    return tally.result("monotone-peak", claim, worst, t0)
+def _merge_cases(level: str):
+    """Seeded side pairs, fan-in 2 and fan-in 3 in turn, merged on every
+    variable."""
+    for s in range(40 if level == SMOKE else 200):
+        n = 2 + s % 7
+        mode = FANIN2 if s % 2 == 0 else bounded(3)
+        sides = [
+            generate(GenSpec(seed=2 * s + b, num_vars=n, size_budget=3 + (s * 5) % 14,
+                             neg_density=(s % 4) / 8.0, shape=CIRCUIT, fanin_mode=mode))
+            for b in (0, 1)
+        ]
+        for i in range(n):
+            yield f"seed={s} x{i}", n, (s, *sides, i)
 
 
-def check_parity_dnf(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = "the shared-negation parity DNF computes parity with EC <= n+2"
-    t0 = perf_counter()
-    tally = _Tally()
-    top = 3 if level == SMOKE else 4
-    worst = None
-    for n in range(2, top + 1):
-        c = fixture(f"parity{n}_dnf")
-        want = 0
-        for j in range(1 << n):
-            if bin(j).count("1") % 2 == 1:
-                want |= 1 << j
-        problems = []
-        if truth_table(c).bits != want:
-            problems.append("not the parity function")
-        ec = energy_exhaustive(c).ec
-        if ec > n + 2:
-            problems.append(f"EC = {ec} > {n + 2}")
-        worst = f"n={n} EC={ec}"
-        tally.add(problems, f"n={n}")
-    return tally.result("parity-dnf", claim, worst, t0)
-
-
-def check_nonskew_floor(level: str = FULL, cap_n: int | None = None) -> CheckResult:
-    claim = "skew-free mean energy >= t/4; Monte Carlo agrees within 3 standard errors"
-    t0 = perf_counter()
-    tally = _Tally()
-    count = 20 if level == SMOKE else 100
-    worst = (-1.0, None)
-    for s in range(count):
-        n = 2 + s % 11
-        L = 4 + 2 * (s % 9)
-        F = generate_nonskew(s, n, L)
-        stats = nonskew_energy_estimate(F, samples=4000, seed=7919 * s + 17)
-        problems = []
-        if 4 * stats.exact_energy_total < stats.t * (1 << n):
-            problems.append(
-                f"4*sum = {4 * stats.exact_energy_total} < t*2^n = {stats.t * (1 << n)}"
-            )
-        table = energies(F).astype(np.float64)
-        sigma = float(table.std())
-        if sigma == 0.0:
-            if stats.empirical_mean_energy != stats.exact_mean:
-                problems.append("zero-variance formula but the sample mean differs")
-        else:
-            se = sigma / math.sqrt(stats.sample_count)
-            gap = abs(stats.empirical_mean_energy - stats.exact_mean)
-            if gap > 3 * se:
-                problems.append(f"|MC - exact| = {gap:.4f} > 3*SE = {3 * se:.4f}")
-        ratio = stats.exact_mean / max(stats.lower_envelope, 0.25)
-        if ratio > worst[0]:
-            worst = (ratio, f"seed={s} mean={stats.exact_mean:.3f} t/4={stats.lower_envelope}")
-        tally.add(problems, f"seed={s}")
-    return tally.result("nonskew-floor", claim, worst[1], t0)
+@_check("connector-merge", _merge_cases,
+        "the connector merge computes (~x_i AND f0) OR (x_i AND f1) "
+        "with negs = 1 + max(negs0, negs1) on the pruned sides")
+def _judge_merge(case) -> Verdict:
+    s, c0, c1, i = case
+    n = c0.num_vars
+    merged = connector_merge(c0, c1, i)
+    mv = var_masks(n)[i]
+    want = (~mv & truth_table(c0).bits) | (mv & truth_table(c1).bits)
+    problems = []
+    if truth_table(merged).bits != want:
+        problems.append("not (~x_i AND f0) OR (x_i AND f1)")
+    negs = structural_stats(merged).negs
+    sides = [structural_stats(restrict(c, {})).negs for c in (c0, c1)]
+    if negs != 1 + max(sides):
+        problems.append(f"negs {negs} != 1 + max{tuple(sides)}")
+    return problems, negs, lambda: f"seed={s} x{i} negs={negs}"
 
 
 # --------------------------------------------------------------------------
-# the suite
+# the driver
 
-CHECKS = {
-    "compile-all-functions": check_compile_all_functions,
-    "cascade-taps": check_cascade_taps,
-    "tree-compile": check_tree_compile,
-    "tree-fanin2": check_tree_fanin2,
-    "psens-floor": check_psens_floor,
-    "positive-paths": check_positive_paths,
-    "pattern-tree": check_pattern_tree,
-    "kw-bits": check_kw_bits,
-    "formula-blocks": check_formula_blocks,
-    "readonce-exact": check_readonce_exact,
-    "monotone-peak": check_monotone_peak,
-    "parity-dnf": check_parity_dnf,
-    "nonskew-floor": check_nonskew_floor,
-}
+
+def _walk(group: list[Check], level: str, cap_n: int | None) -> list[CheckResult]:
+    """One walk of the group's shared cases; every check judges each case."""
+    results = [CheckResult(c.check_id, c.claim, 0, 0, [], None, 0.0) for c in group]
+    best: list[float | None] = [None] * len(group)
+    t0 = perf_counter()
+    for label, n, payload in group[0].cases(level):
+        if cap_n is not None and n > cap_n:
+            continue
+        for k, (check, res) in enumerate(zip(group, results)):
+            t = perf_counter()
+            if isinstance(payload, _Invalid):
+                problems, score, witness = [payload], None, None
+            else:
+                problems, score, witness = check.judge(payload)
+            res.instances_tried += 1
+            if problems:
+                res.violations += 1
+                if len(res.failures) < 5:
+                    res.failures.append(f"{label}: {'; '.join(problems)}")
+            if score is not None and (best[k] is None or score > best[k]):
+                best[k], res.extremal_witness = score, witness()
+            res.seconds += perf_counter() - t
+    results[0].seconds += perf_counter() - t0 - sum(r.seconds for r in results)
+    return results
 
 
 def run_all(
@@ -764,11 +757,11 @@ def run_all(
     report_line=None,
 ) -> Report:
     t0 = perf_counter()
-    names = list(CHECKS) if not only else [n for n in CHECKS if n in set(only)]
+    picked = [c for c in CHECKS.values() if not only or c.check_id in only]
     checks = []
-    for name in names:
-        res = CHECKS[name](level, cap_n)
-        checks.append(res)
-        if report_line is not None:
-            report_line(res.line())
+    for cases in dict.fromkeys(c.cases for c in picked):
+        for res in _walk([c for c in picked if c.cases is cases], level, cap_n):
+            checks.append(res)
+            if report_line is not None:
+                report_line(res.line())
     return Report(level, checks, perf_counter() - t0)

@@ -3,14 +3,24 @@
 Each test drives one entry of the verification suite and prints its
 ``[PASS]/[FAIL]`` line (run ``pytest -s tests/test_acceptance.py`` to see them
 as they finish, or use ``cenergy verify-all``).  A test fails if the sweep
-found any violation or blew its time budget.
+found any violation or blew its time budget.  The two tree checks read one
+shared walk of the tree corpus, so each tree is compiled once.
 """
 
-from circuit_energy.verify import CHECKS, FULL
+import pytest
+
+from circuit_energy.verify import FULL, run_all
 
 
-def run(check_id: str, budget_s: float):
-    res = CHECKS[check_id](FULL)
+@pytest.fixture(scope="module")
+def tree_checks():
+    report = run_all(FULL, only=["tree-compile", "tree-fanin2"])
+    return {res.check_id: res for res in report.checks}
+
+
+def run(check_id: str, budget_s: float, walked: dict | None = None):
+    """Run one check, or read its result from a shared walk that already ran."""
+    res = walked[check_id] if walked else run_all(FULL, only=[check_id]).checks[0]
     print(res.line())
     assert res.violations == 0, f"{res.line()}\n" + "\n".join(res.failures)
     assert res.seconds < budget_s, (
@@ -29,16 +39,16 @@ def test_cascade_taps_fire_uniquely_with_linear_energy():
     run("cascade-taps", 30)
 
 
-def test_tree_compiler_invariants_hold_on_all_small_trees():
+def test_tree_compiler_invariants_hold_on_all_small_trees(tree_checks):
     # all reduced depth<=3 trees on 4 vars + 500 seeded depth<=6 trees on 8:
     # equivalence, negs <= d, EC <= 2d^2, OR fan-in 2, AND fan-in <= d+2,
     # no OR fed by a literal
-    run("tree-compile", 300)
+    run("tree-compile", 300, tree_checks)
 
 
-def test_fanin2_expansion_keeps_equivalence_and_energy():
+def test_fanin2_expansion_keeps_equivalence_and_energy(tree_checks):
     # the same corpus through the comb expansion: fan-in <= 2, EC <= 2d^2(d+1)
-    run("tree-fanin2", 300)
+    run("tree-fanin2", 300, tree_checks)
 
 
 def test_energy_dominates_positive_sensitivity_over_fanin():
@@ -87,3 +97,9 @@ def test_parity_dnf_energy():
 def test_skewfree_mean_energy_floor():
     # mean energy >= t/4 exactly; the Monte Carlo estimate agrees to 3 SE
     run("nonskew-floor", 120)
+
+
+def test_connector_merge_shares_negations():
+    # seeded fan-in-2 and fan-in-3 side pairs on n = 2..8, merged on every
+    # variable: the merged function, and negs = 1 + max(negs0, negs1)
+    run("connector-merge", 60)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from circuit_energy import bounds, verify
 from circuit_energy.cli import main
 
 OR2 = "INPUT x0\nINPUT x1\ng = OR x0 x1\nOUTPUT g\n"
@@ -60,6 +61,23 @@ def test_patterns_prices_its_masks_first(tmp_path, capsys):
     assert main(["patterns", _or_chain(tmp_path, 24, 3000)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_extract_dt_prices_its_masks_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the energy sweep ran before the masks were priced")
+
+    monkeypatch.setattr(bounds, "energy_exhaustive", sweep)
+    assert main(["extract-dt", _or_chain(tmp_path, 24, 3000)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MB budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["parity30_dnf", "addr(24)", "cascade_tap(24,0)"])
+def test_oversized_fixture_is_refused_before_building(name, capsys):
+    assert main(["energy", f"fixture:{name}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gates" in err and err.count("\n") == 1
 
 
 def test_bad_input_is_a_usage_error(or2_path, capsys):
@@ -278,3 +296,40 @@ def test_verify_all_check_with_no_instance_is_skipped(capsys):
     assert "[SKIP] compile-all-functions:" in out and "(0 instances" in out
     assert "[PASS]" not in out
     assert "1 skipped" in out
+
+
+def test_verify_all_cap_n_applies_to_every_check(capsys):
+    assert main(["verify-all", "--level", "smoke", "--cap-n", "0"]) == 0
+    *lines, status = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"[SKIP] {c}" for c in verify.CHECKS]
+    assert status.startswith(f"all checks passed ({len(verify.CHECKS)} skipped")
+
+
+def test_verify_all_cap_n_drops_the_larger_trees(capsys):
+    # the 302 reduced trees on 3 variables; the 50 seeded n = 8 trees go
+    rc = main(["verify-all", "--level", "smoke", "--cap-n", "3", "--only", "tree-compile"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "[PASS] tree-compile:" in out and "(302 instances," in out
+
+
+def test_tree_checks_share_one_walk_and_one_compile_per_tree(monkeypatch):
+    walks, compiles = [], []
+    enumerate_trees, compile_tree = verify._all_reduced_trees, verify.dt_to_circuit
+
+    def miscounted(num_vars, depth):
+        walks.append((num_vars, depth))
+        trees, expected, cache = enumerate_trees(num_vars, depth)
+        return trees, expected + 1, cache
+
+    def counted(tree):
+        compiles.append(tree.root)
+        return compile_tree(tree)
+
+    monkeypatch.setattr(verify, "_all_reduced_trees", miscounted)
+    monkeypatch.setattr(verify, "dt_to_circuit", counted)
+    report = verify.run_all(verify.SMOKE, only=["tree-compile", "tree-fanin2"])
+    assert walks == [(3, 2)] and len(compiles) == 302 + 50
+    for res in report.checks:
+        assert (res.instances_tried, res.violations) == (353, 1)
+        assert res.failures == ["enumeration: enumerated 302 trees, closed form says 303"]

@@ -2,6 +2,7 @@ import pytest
 
 from circuit_energy import (
     BudgetInfeasible,
+    CapExceeded,
     Circuit,
     DecisionTree,
     Formula,
@@ -109,6 +110,19 @@ def test_unknown_fixtures():
     ]:
         with pytest.raises(UnknownFixture):
             fixture(bad)
+
+
+def test_oversized_fixtures_are_priced_before_building():
+    # 2^29 ANDs, 2^25 gates twice, 4e6 gates, and an exponent too large to build
+    for big in [
+        "parity30_dnf",
+        "addr(24)",
+        "cascade_tap(24,0)",
+        "and_tree(2000000)",
+        "parity99999999999_dnf",
+    ]:
+        with pytest.raises(CapExceeded):
+            fixture(big)
 
 
 def test_dtree_shape_respects_depth_budget():
