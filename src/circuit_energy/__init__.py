@@ -60,13 +60,16 @@ from .ir import (
     substitute_leaf,
 )
 from .semantics import (
+    EnergyMoments,
     EnergyReport,
     EvalTrace,
+    Patterns,
     PsensReport,
     TruthTable,
     dt_depth,
     energies,
     energy_exhaustive,
+    energy_moments,
     equivalent,
     evaluate,
     firing_patterns,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonLeafNegation, NotReadOnce, RootNotAllowed
+from .errors import CapExceeded, NonLeafNegation, NotReadOnce, RootNotAllowed, ToolkitError
 from .ir import (
     AND,
     INPUT,
@@ -28,7 +28,7 @@ from .ir import (
     _tree_path_to,
     _tree_replace,
 )
-from .semantics import energies, energy_exhaustive, evaluate, max_firing
+from .semantics import EVAL_CAP, energy_exhaustive, energy_moments, evaluate, max_firing
 
 
 # --------------------------------------------------------------------------
@@ -194,8 +194,9 @@ class NonSkewStats:
     sample_count: int
     empirical_mean_energy: float
     lower_envelope: float  # t / 4
-    exact_mean: float | None  # only for small variable counts
+    exact_mean: float | None  # None above EVAL_CAP variables
     exact_energy_total: int | None
+    exact_square_total: int | None  # sum of the squared energy over all inputs
 
 
 def nonskew_energy_estimate(
@@ -204,9 +205,15 @@ def nonskew_energy_estimate(
     """Monte-Carlo mean energy under uniform inputs, against the t/4 floor:
     every binary gate reading two leaves fires with probability >= 1/4, so
     the mean energy of a skew-free formula is at least t/4 where t counts
-    its bottom gates.  For small formulas the exact mean is computed too.
+    its bottom gates.  Up to EVAL_CAP variables the samples, the exact mean
+    and the exact sum of squares all come from one blocked sweep; above it
+    each sample is evaluated on its own and no exact value is given.
     """
+    if samples < 1:
+        raise ToolkitError(f"samples must be >= 1, got {samples}")
     n = formula.num_vars
+    if n > 64:
+        raise CapExceeded(f"n={n}: sampled inputs are drawn as 64-bit indices")
     t = sum(
         1
         for g in formula.gates
@@ -216,24 +223,17 @@ def nonskew_energy_estimate(
     )
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, 1 << n, size=samples, dtype=np.uint64)
-    exact_total: int | None = None
-    exact_mean: float | None = None
-    if n <= 12:
-        table = energies(formula)
-        drawn = table[idx]
-        exact_total = int(table.sum(dtype=np.uint64))
-        exact_mean = exact_total / (1 << n)
-    else:
-        drawn = np.array(
-            [
-                evaluate(formula, tuple((int(j) >> i) & 1 for i in range(n))).energy
-                for j in idx
-            ],
-            dtype=np.uint32,
+    if n <= EVAL_CAP:
+        m = energy_moments(formula, idx)
+        return NonSkewStats(
+            t, samples, float(m.drawn.mean()), t / 4,
+            m.total / (1 << n), m.total, m.square_total,
         )
-    return NonSkewStats(
-        t, samples, float(drawn.mean()), t / 4, exact_mean, exact_total
+    drawn = np.array(
+        [evaluate(formula, tuple((int(j) >> i) & 1 for i in range(n))).energy for j in idx],
+        dtype=np.uint32,
     )
+    return NonSkewStats(t, samples, float(drawn.mean()), t / 4, None, None, None)
 
 
 # --------------------------------------------------------------------------

@@ -18,14 +18,19 @@ log2(gates) bit-plane ints, and a top-down scan of the planes gives the
 block's maximum and its first input; a later block wins only with a strictly
 larger maximum.  psens counts the same way over masks derived from the truth
 table.  Truth tables join the output mask of each block.  n <= 16 is one
-block on the same path.  gate_masks, which firing_patterns needs, is the
-whole-width sweep: one block of 2^n, priced against MASK_BUDGET before
-anything is allocated.  numpy is kept only for the bit transpose in
-firing_patterns and for the per-input array that energies() returns.
+block on the same path.  energy_moments reads exact energy sums and sampled
+per-input energies off the same planes, without a per-input array.
+gate_masks, which firing_patterns needs, is the whole-width sweep: one block
+of 2^n, priced against MASK_BUDGET before anything is allocated.
+firing_patterns returns its distinct patterns as sorted packed rows
+(Patterns), which become tuples only as they are read.  numpy is kept for
+the bit transpose and unpacking of those rows, for gathering sampled bits
+and for the per-input array that energies() returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
@@ -397,12 +402,88 @@ def energies(circuit: Circuit, cap: int | None = None) -> np.ndarray:
     return acc
 
 
+@dataclass(slots=True)
+class EnergyMoments:
+    total: int  # sum of the energy over all 2^n inputs
+    square_total: int  # sum of its square
+    drawn: np.ndarray  # uint32 energy at each requested input index
+
+
+def energy_moments(circuit: Circuit, at, cap: int | None = None) -> EnergyMoments:
+    """Exact energy sum and sum of squares over all 2^n inputs, and the
+    energy at each input index in ``at``, read off each block's count
+    planes P_j: the sum is sum_j 2^j |P_j|, the sum of squares
+    sum_{j,k} 2^(j+k) |P_j & P_k|, and input i's energy sum_j 2^j bit_i(P_j).
+    The indices are taken block by block, so no 2^n array is built."""
+    _check_cap(circuit.num_vars, cap, EVAL_CAP)
+    at = np.asarray(at, dtype=np.uint64)
+    drawn = np.zeros(len(at), dtype=np.uint32)
+    block_of = at >> np.uint64(min(circuit.num_vars, BLOCK_VARS))
+    total = square = 0
+    for base, k, planes in _block_planes(circuit, None):
+        for j, p in enumerate(planes):
+            ones = p.bit_count()
+            total += ones << j
+            square += ones << 2 * j
+            for i in range(j):
+                square += (p & planes[i]).bit_count() << (i + j + 1)
+        sel = np.flatnonzero(block_of == base >> k)
+        if not len(sel):
+            continue
+        local = (at[sel] - np.uint64(base)).astype(np.intp)
+        byte, shift = local >> 3, local & 7
+        width = ((1 << k) + 7) >> 3
+        for j, p in enumerate(planes):
+            raw = np.frombuffer(p.to_bytes(width, "little"), dtype=np.uint8)
+            drawn[sel] |= ((raw[byte] >> shift) & 1).astype(np.uint32) << j
+    return EnergyMoments(total, square, drawn)
+
+
 def energy_exhaustive(circuit: Circuit, cap: int | None = None) -> EnergyReport:
     """EC(C) with the first input (little-endian order) attaining it."""
     return EnergyReport(*max_firing(circuit, cap))
 
 
-def firing_patterns(circuit: Circuit, cap: int | None = None) -> list[tuple]:
+class Patterns(Sequence):
+    """Distinct firing patterns as sorted packed rows.
+
+    ``rows`` is a uint8 array with one row of ceil(width / 8) bytes per
+    pattern, bits big-endian so that byte order is tuple order.  A row
+    becomes a 0/1 tuple only when it is read: ``p[k]`` unpacks one row and
+    iteration unpacks 1024 rows at a time.
+    """
+
+    __slots__ = ("rows", "width")
+
+    def __init__(self, rows: np.ndarray, width: int) -> None:
+        self.rows = rows
+        self.width = width  # pattern length: the non-input gate count
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Patterns(self.rows[k], self.width)
+        return tuple(bytes(np.unpackbits(self.rows[k], count=self.width)))
+
+    def __iter__(self):
+        for lo in range(0, len(self.rows), 1024):
+            bits = np.unpackbits(self.rows[lo : lo + 1024], axis=1, count=self.width)
+            yield from map(tuple, map(bytes, bits))  # a bytes row iterates as 0/1 ints
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Patterns):
+            return self.width == other.width and np.array_equal(self.rows, other.rows)
+        if isinstance(other, list):
+            return len(other) == len(self) and list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Patterns(count={len(self)}, width={self.width})"
+
+
+def firing_patterns(circuit: Circuit, cap: int | None = None) -> Patterns:
     """Distinct vectors of non-input gate values over all inputs, sorted.
 
     CONST gates are non-input gates and contribute their (constant) bit;
@@ -412,7 +493,7 @@ def firing_patterns(circuit: Circuit, cap: int | None = None) -> list[tuple]:
     masks = gate_masks(circuit, cap)
     masks = [m for g, m in zip(circuit.gates, masks) if g.kind != INPUT]
     if not masks:
-        return [()]
+        return Patterns(np.zeros((1, 0), dtype=np.uint8), 0)
     # one row of big-endian bytes per input, so bytewise order is tuple
     # order; built transposed, so each gate ORs into one contiguous byte row
     width = (len(masks) + 7) >> 3
@@ -420,15 +501,9 @@ def firing_patterns(circuit: Circuit, cap: int | None = None) -> list[tuple]:
     for k, m in enumerate(masks):
         packed[k >> 3] |= _lanes(m, total) << np.uint8(7 - (k & 7))
     rows = np.ascontiguousarray(packed.T)
+    del packed  # freed before np.unique sorts its own copy of the rows
     uniq = np.unique(rows.view(np.dtype((np.void, width))).ravel())
-    uniq = uniq.view(np.uint8).reshape(-1, width)
-    out: list[tuple] = []
-    # unpacked 1024 rows at a time: all at once would add a byte per gate
-    # per pattern to the peak, beside the tuples
-    for lo in range(0, len(uniq), 1024):
-        bits = np.unpackbits(uniq[lo : lo + 1024], axis=1, count=len(masks))
-        out += map(tuple, map(bytes, bits))  # a bytes row iterates as 0/1 ints
-    return out
+    return Patterns(uniq.view(np.uint8).reshape(-1, width), len(masks))
 
 
 # --------------------------------------------------------------------------

@@ -10,11 +10,12 @@ Netlist grammar (one item per line, ``#`` starts a comment):
     OUTPUT <ref>
 
 Gate ids are the 0-based definition order.  Every gate is implicitly named
-``g<id>``; INPUT gates are additionally addressable as ``x<k>``.  An explicit
-name that collides with an implicit one shadows it (explicit names win), which
-keeps resolution one-pass and deterministic.  Serialization always emits the
-canonical ``g<id>`` names, so a parse/serialize round trip is gate-for-gate
-identical.
+``g<id>``; INPUT gates are additionally named ``x<k>``.  A gate line's name
+and an INPUT's ``x<k>`` are explicit.  An explicit name that collides with an
+implicit ``g<id>`` shadows it from that line on (explicit names win), which
+keeps resolution one-pass and deterministic; two explicit names never share a
+spelling.  Serialization always emits the canonical ``g<id>`` names, so a
+parse/serialize round trip is gate-for-gate identical.
 
 A reference to a name that is not yet defined on a gate line raises
 CycleOrForwardRef (in a one-pass id-ordered format, a forward reference and a
@@ -76,6 +77,7 @@ def parse_netlist(
         raise ParseError("empty netlist")
     gates: list[Gate] = []
     names: dict[str, int] = {}
+    explicit: set[str] = set()
     output: int | None = None
     max_var = -1
 
@@ -97,7 +99,9 @@ def parse_netlist(
             var = int(m.group(1))
             gid = len(gates)
             gates.append(Gate(INPUT, (), var))
-            names.setdefault(f"x{var}", gid)
+            if f"x{var}" not in explicit:  # a formula may repeat a variable
+                explicit.add(f"x{var}")
+                names[f"x{var}"] = gid
             names.setdefault(f"g{gid}", gid)
             max_var = max(max_var, var)
             continue
@@ -126,8 +130,9 @@ def parse_netlist(
             gates.append(Gate(kind, children))
         else:
             raise ParseError(f"line {lineno}: unknown gate kind {kind!r}")
-        if lhs in names and names[lhs] != gid:
+        if lhs in explicit:
             raise ParseError(f"line {lineno}: name {lhs!r} already used")
+        explicit.add(lhs)
         names[lhs] = gid
         names.setdefault(f"g{gid}", gid)
     if output is None:

@@ -69,7 +69,6 @@ from .ir import (
 from .kw import make_instance, run_protocol
 from .semantics import (
     TruthTable,
-    energies,
     energy_exhaustive,
     evaluate,
     gate_masks,
@@ -671,12 +670,13 @@ def _judge_nonskew(s: int) -> Verdict:
         problems.append(
             f"4*sum = {4 * stats.exact_energy_total} < t*2^n = {stats.t * (1 << n)}"
         )
-    sigma = float(energies(F).astype(np.float64).std())
-    if sigma == 0.0:
+    # 2^(2n) times the variance, exactly: 2^n sum e^2 - (sum e)^2
+    spread = (stats.exact_square_total << n) - stats.exact_energy_total**2
+    if spread == 0:
         if stats.empirical_mean_energy != stats.exact_mean:
             problems.append("zero-variance formula but the sample mean differs")
     else:
-        se = sigma / math.sqrt(stats.sample_count)
+        se = math.sqrt(spread) / (1 << n) / math.sqrt(stats.sample_count)
         gap = abs(stats.empirical_mean_energy - stats.exact_mean)
         if gap > 3 * se:
             problems.append(f"|MC - exact| = {gap:.4f} > 3*SE = {3 * se:.4f}")

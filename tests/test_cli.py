@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from circuit_energy import bounds, verify
+from circuit_energy import bounds, cli, verify
 from circuit_energy.cli import main
 
 OR2 = "INPUT x0\nINPUT x1\ng = OR x0 x1\nOUTPUT g\n"
@@ -178,6 +178,18 @@ def test_fml_nonskew(tmp_path, capsys):
     assert "t=2" in out and "floor=0.5" in out and "exactMean=2.0625" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_fml_nonskew_needs_a_sample(samples, capsys):
+    assert main(["fml-nonskew", "fixture:and_tree(4)", "--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples" in err and err.count("\n") == 1
+
+
+def test_fml_nonskew_checks_the_floor_above_twelve_inputs(capsys):
+    assert main(["fml-nonskew", "fixture:and_tree(16)", "--samples", "50"]) == 0
+    assert "exactMean=" in capsys.readouterr().out
+
+
 def test_gen_pipes_back_into_energy(capsys, monkeypatch):
     assert main(
         ["gen", "--seed", "11", "--num-vars", "4", "--size", "8",
@@ -333,3 +345,66 @@ def test_tree_checks_share_one_walk_and_one_compile_per_tree(monkeypatch):
     for res in report.checks:
         assert (res.instances_tried, res.violations) == (353, 1)
         assert res.failures == ["enumeration: enumerated 302 trees, closed form says 303"]
+
+
+# --------------------------------------------------------------------------
+# every verb, given a malformed, a missing or an oversized input
+
+
+_BAD_NETLIST = "INPUT x0\ng = FOO x0\nOUTPUT g\n"
+_INPUTS = {  # (malformed, oversized) text per input kind
+    "netlist": (_BAD_NETLIST, "".join(f"INPUT x{i}\n" for i in range(30)) + "g = OR x0 x29\nOUTPUT g\n"),
+    "formula": (_BAD_NETLIST, "INPUT x0\nINPUT x70\ng = OR x0 x70\nOUTPUT g\n"),
+    "table": ("n=2\n01x0\n", "n=40\n0101\n"),
+    "tree": ("(x0 0\n", "(x30 0 1)\n"),
+}
+_FILE_VERBS = {  # verb -> (input kind, further arguments)
+    "eval": ("netlist", ["--input", "10"]),
+    "energy": ("netlist", []),
+    "patterns": ("netlist", []),
+    "compile-tt": ("table", []),
+    "dt2circuit": ("tree", []),
+    "fanin2": ("tree", []),
+    "psens-check": ("netlist", []),
+    "extract-dt": ("netlist", []),
+    "kw-run": ("netlist", ["--alice", "11", "--bob", "00"]),
+    "fml-decompose": ("formula", []),
+    "fml-stats": ("formula", ["--readonce"]),
+    "fml-nonskew": ("formula", ["--samples", "50"]),
+}
+_OPTION_VERBS = {  # verb -> {case: argv}
+    "gen": {
+        "malformed": ["--seed", "1", "--num-vars", "x", "--size", "3"],
+        "missing": ["--seed", "1", "--num-vars", "3"],
+        "oversized": ["--seed", "1", "--num-vars", "3", "--size", "4", "--shape", "READONCE_LEAFNEG"],
+    },
+    "verify-all": {
+        "malformed": ["--only", "cascade-tapz"],
+        "missing": ["--level"],
+        "oversized": ["--level", "smoke", "--cap-n", "99", "--only", "cascade-taps"],
+    },
+}
+
+
+def test_every_verb_has_bad_input_cases():
+    (sub,) = [a for a in cli._parser()._actions if a.dest == "command"]
+    assert set(sub.choices) == set(_FILE_VERBS) | set(_OPTION_VERBS)
+
+
+@pytest.mark.parametrize("case", ["malformed", "missing", "oversized"])
+@pytest.mark.parametrize("verb", [*_FILE_VERBS, *_OPTION_VERBS])
+def test_bad_input_exits_without_a_traceback(verb, case, tmp_path, capsys):
+    if verb in _OPTION_VERBS:
+        argv = [verb, *_OPTION_VERBS[verb][case]]
+    else:
+        kind, extra = _FILE_VERBS[verb]
+        path = tmp_path / "input"
+        if case != "missing":
+            path.write_text(_INPUTS[kind][case == "oversized"])
+        argv = [verb, str(path), *extra]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    assert rc in (0, 1, 2, 141)
+    assert "Traceback" not in capsys.readouterr().err

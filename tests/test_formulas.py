@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from circuit_energy import (
@@ -9,7 +10,9 @@ from circuit_energy import (
     NOT,
     NotReadOnce,
     RootNotAllowed,
+    ToolkitError,
     decompose_gk,
+    energies,
     energy_exhaustive,
     equivalent,
     evaluate,
@@ -193,6 +196,7 @@ def test_nonskew_counts_bottom_gates_and_matches_exact_mean():
     assert st.lower_envelope == 0.5
     assert st.exact_energy_total == 33  # 12 + 12 firings for the ORs, 9 for the AND
     assert st.exact_mean == 33 / 16
+    assert st.exact_square_total == 6 * 1 + 9 * 9  # 6 inputs fire one OR, 9 all three
     assert st.exact_mean >= st.lower_envelope
     assert abs(st.empirical_mean_energy - st.exact_mean) < 0.15
 
@@ -203,6 +207,27 @@ def test_nonskew_envelope_on_generated_formulas():
         st = nonskew_energy_estimate(f, samples=500, seed=s)
         assert st.exact_mean is not None
         assert st.exact_mean >= st.lower_envelope
+
+
+@pytest.mark.parametrize("n", range(13, 18))
+def test_nonskew_planes_match_evaluate(n):
+    f = generate_nonskew(seed=n, num_vars=n, leaf_budget=2 * n)
+    st = nonskew_energy_estimate(f, samples=200, seed=n)
+    # the same draws, each input evaluated on its own
+    idx = np.random.default_rng(n).integers(0, 1 << n, size=200, dtype=np.uint64)
+    drawn = [evaluate(f, tuple((int(j) >> i) & 1 for i in range(n))).energy for j in idx]
+    assert st.empirical_mean_energy == float(np.array(drawn, dtype=np.uint32).mean())
+    table = energies(f).astype(np.uint64)
+    assert st.exact_energy_total == int(table.sum())
+    assert st.exact_mean == int(table.sum()) / (1 << n)
+    assert st.exact_square_total == int((table * table).sum())
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_nonskew_needs_a_sample(samples):
+    f = generate_nonskew(seed=1, num_vars=4, leaf_budget=6)
+    with pytest.raises(ToolkitError, match="samples"):
+        nonskew_energy_estimate(f, samples=samples)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from circuit_energy import (
     dt_depth,
     energies,
     energy_exhaustive,
+    energy_moments,
     equivalent,
     evaluate,
     firing_patterns,
@@ -72,6 +74,9 @@ def test_sweeps_match_evaluate_on_every_input(name):
     assert rep.ec == max(es)
     assert rep.argmax_input == traces[es.index(rep.ec)].input
     assert energies(c).tolist() == es
+    m = energy_moments(c, range(1 << n))
+    assert m.drawn.tolist() == es
+    assert (m.total, m.square_total) == (sum(es), sum(e * e for e in es))
 
     vals = [t.value for t in traces]
     f = truth_table(c)
@@ -87,7 +92,11 @@ def test_sweeps_match_evaluate_on_every_input(name):
 
     rows = {tuple(v for g, v in zip(c.gates, t.gate_values) if g.kind != INPUT)
             for t in traces}
-    assert firing_patterns(c) == sorted(rows)
+    pats, want = firing_patterns(c), sorted(rows)
+    assert pats == want and list(pats) == want and len(pats) == len(want)
+    assert (pats[0], pats[-1]) == (want[0], want[-1])
+    for row in rows:
+        assert pats[bisect_left(pats, row)] == row
 
 
 # --------------------------------------------------------------------------
@@ -198,6 +207,20 @@ def test_firing_patterns_cover_inputs_without_gates():
     assert firing_patterns(c) == [()]
 
 
+def test_firing_patterns_stay_packed():
+    # 14 016 patterns of 280 gates: as tuples they would take about 33 MB
+    c = _circuit(14, 280, MONOTONE, seed=1)
+    firing_patterns(c)  # the cached variable columns are shared by every sweep
+    tracemalloc.start()
+    try:
+        pats = firing_patterns(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pats) == 14016 and len(pats[-1]) == 280
+    assert peak < 8 << 20, peak
+
+
 def test_psens_oracles():
     and3 = fixture("and_tree(3)")
     rep = psens(truth_table(and3))
@@ -249,6 +272,6 @@ def test_equivalent_pads_to_common_width():
 def test_eval_cap_guard():
     big = GenSpec(seed=0, num_vars=30, size_budget=3, shape="CIRCUIT")
     c = generate(big)
-    for sweep in (truth_table, energy_exhaustive, energies, gate_masks):
+    for sweep in (truth_table, energy_exhaustive, energies, gate_masks, firing_patterns):
         with pytest.raises(CapExceeded):
             sweep(c)

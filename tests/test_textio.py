@@ -68,8 +68,21 @@ def test_parse_garbage_line():
 
 
 def test_parse_duplicate_name():
-    with pytest.raises(ParseError):
-        parse_netlist("INPUT x0\na = NOT x0\na = NOT x0\nOUTPUT a\n")
+    for body in (
+        "a = NOT x0\na = NOT x0\nOUTPUT a\n",
+        "g0 = NOT x0\ng0 = NOT x1\nOUTPUT g0\n",
+        "x1 = NOT x0\nOUTPUT x1\n",  # an INPUT's x<k> is explicit too
+    ):
+        with pytest.raises(ParseError, match="already used"):
+            parse_netlist("INPUT x0\nINPUT x1\n" + body)
+
+
+def test_explicit_name_shadows_implicit_alias():
+    c = parse_netlist("INPUT x0\nINPUT x1\ng0 = AND x0 x1\nn = NOT g0\nOUTPUT n\n")
+    assert c.gates[3].children == (2,)  # g0 is the AND from its line on
+    assert truth_table(c).bitstring() == "1110"
+    # the canonical names are unchanged, so the text round-trips
+    assert parse_netlist(serialize_netlist(c)).gates == c.gates
 
 
 def test_netlist_roundtrip_over_generated_circuits():
