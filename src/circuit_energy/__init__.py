@@ -50,7 +50,6 @@ from .ir import (
     const_gate,
     dt_depth_of,
     formula_from_tree,
-    formula_to_tree,
     input_gate,
     not_gate,
     or_gate,

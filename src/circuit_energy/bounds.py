@@ -106,8 +106,7 @@ def check_psens_bound(circuit: Circuit, cap: int | None = None) -> PsensCheck:
     """
     report = energy_exhaustive(circuit, cap)
     sens = psens(truth_table(circuit, cap), cap)
-    limit = circuit.fanin_mode.limit()
-    c = limit if limit is not None else max(2, circuit.max_fanin())
+    c = circuit.fanin_parameter()
     holds = (c + 1) * report.ec >= sens.value
     return PsensCheck(
         report.ec, sens.value, c, holds, sens.witness_input, sens.witness_indices

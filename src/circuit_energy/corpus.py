@@ -66,6 +66,9 @@ def _check_budget(shape: str, num_vars: int, size: int) -> None:
             f"{shape} needs num_vars >= {least_n} and size >= {least_size}, "
             f"got {num_vars} and {size}"
         )
+    check_gate_budget(
+        f"a {shape} of {num_vars} variables and size {size}", num_vars + size
+    )
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -19,14 +19,12 @@ from .ir import (
     Formula,
     Gate,
     UNBOUNDED,
-    const_gate,
-    formula_from_tree,
-    formula_to_tree,
-    input_gate,
-    not_gate,
+    and_gate,
+    const_formula,
+    copy_subformula,
+    or_gate,
+    replace_subformula,
     structural_stats,
-    _tree_path_to,
-    _tree_replace,
 )
 from .semantics import EVAL_CAP, energy_exhaustive, energy_moments, evaluate, max_firing
 
@@ -54,9 +52,7 @@ def restriction_energy_check(
     """
     if gate_id == formula.output:
         raise RootNotAllowed("restricting at the output leaves no formula")
-    path = _tree_path_to(formula, gate_id)
-    tree = _tree_replace(formula_to_tree(formula), path, ("const", int(bit)))
-    restricted = formula_from_tree(tree, formula.num_vars, formula.fanin_mode)
+    restricted = replace_subformula(formula, gate_id, const_formula(bit))
     ec_r = energy_exhaustive(restricted, cap).ec
     ec = energy_exhaustive(formula, cap).ec
     depth = structural_stats(formula).depth
@@ -75,75 +71,52 @@ class DecompositionResult:
     block_count: int
 
 
-def _negs(t) -> int:
-    tag = t[0]
-    if tag in ("var", "const"):
-        return 0
-    if tag == "not":
-        return 1 + _negs(t[1])
-    return sum(_negs(c) for c in t[1])
-
-
-def _gk(t):
-    """Rewrite a formula tree into blocks (negation-free subformulas, marked
-    ``("block", sub)``) glued by a skeleton of AND/OR/NOT nodes.
-
-    When all negations live strictly below the root, the subtree F1 at their
-    lowest common ancestor is split out by expanding the (monotone) context
-    F2 around it:  F = F2[z := F1] = F2|z=0  OR  (F2|z=1 AND F1).  Both
-    restrictions are negation-free, so they become blocks, and the recursion
-    continues inside F1, whose root is a NOT or has two negation-carrying
-    children.
-    """
-    if _negs(t) == 0:
-        return ("block", t)
-    path: list[int] = []
-    cur = t
-    while cur[0] != "not":
-        negged = [i for i, c in enumerate(cur[1]) if _negs(c) > 0]
-        if len(negged) != 1:
-            break
-        path.append(negged[0])
-        cur = cur[1][negged[0]]
-    if not path:
-        if t[0] == "not":
-            return ("not", _gk(t[1]))
-        negged = sum(1 for c in t[1] if _negs(c) > 0)
-        assert negged >= 2, "a one-sided root cannot be the negation LCA"
-        return (t[0], [_gk(c) for c in t[1]])
-    ctx0 = _tree_replace(t, tuple(path), ("const", 0))
-    ctx1 = _tree_replace(t, tuple(path), ("const", 1))
-    return ("or", [("block", ctx0), ("and", [("block", ctx1), _gk(cur)])])
-
-
-def _emit_blocks(t, gates: list[Gate], blocks: list[tuple[int, int]]) -> int:
-    tag = t[0]
-    if tag == "block":
-        start = len(gates)
-        out = _emit_blocks(t[1], gates, blocks)
-        blocks.append((start, len(gates) - 1))
-        return out
-    if tag == "var":
-        gates.append(input_gate(t[1]))
-    elif tag == "const":
-        gates.append(const_gate(t[1]))
-    elif tag == "not":
-        gates.append(not_gate(_emit_blocks(t[1], gates, blocks)))
-    else:
-        kids = tuple(_emit_blocks(c, gates, blocks) for c in t[1])
-        gates.append(Gate(AND if tag == "and" else OR, kids))
-    return len(gates) - 1
-
-
 def decompose_gk(formula: Formula) -> DecompositionResult:
     """Equivalent formula built from negation-free blocks and a skeleton of
     at most 5*negs - 2 glue gates; each block occupies a contiguous gate-id
     range.  Leaves at most double.
+
+    When all negations under a gate live strictly below it, the subformula F1
+    at their lowest common ancestor is split out by expanding the (monotone)
+    context F2 around it:  F = F2[z := F1] = F2|z=0  OR  (F2|z=1 AND F1).
+    Both restrictions are negation-free, so they become blocks, and the
+    recursion continues inside F1, whose root is a NOT or has two
+    negation-carrying children.
     """
-    marked = _gk(formula_to_tree(formula))
+    src = formula.gates
+    negs = [0] * len(src)  # NOT gates in the subformula at each gate
+    for gid, g in enumerate(src):
+        negs[gid] = (g.kind == NOT) + sum(negs[c] for c in g.children)
     gates: list[Gate] = []
     blocks: list[tuple[int, int]] = []
-    out = _emit_blocks(marked, gates, blocks)
+    zero, one = const_formula(0), const_formula(1)
+
+    def block(root: int, swap_at: int = -1, swap_in: Formula | None = None) -> int:
+        start = len(gates)
+        out = copy_subformula(gates, src, root, swap_at, swap_in)
+        blocks.append((start, out))
+        return out
+
+    def gk(root: int) -> int:
+        if negs[root] == 0:
+            return block(root)
+        lca = root
+        while src[lca].kind != NOT:
+            negged = [c for c in src[lca].children if negs[c]]
+            if len(negged) != 1:
+                break
+            lca = negged[0]
+        if lca == root:
+            g = src[root]
+            gates.append(Gate(g.kind, tuple(gk(c) for c in g.children)))
+        else:
+            ctx0 = block(root, lca, zero)
+            ctx1 = block(root, lca, one)
+            gates.append(and_gate(ctx1, gk(lca)))
+            gates.append(or_gate(ctx0, len(gates) - 1))
+        return len(gates) - 1
+
+    out = gk(formula.output)
     f_prime = Formula(formula.num_vars, gates, out, UNBOUNDED, validate=False)
     in_block = set()
     for start, end in blocks:

@@ -5,7 +5,8 @@ A circuit is a topologically ordered list of gates over the basis
 and equal the gate's position in the list; children always point backwards.
 Evaluation-order things (energy, truth tables) live in ``semantics``; this
 module owns the data model, validation, and structural surgery
-(restrict / substitute_leaf / structural_stats).
+(restrict / structural_stats, and for formulas one post-order copy kernel,
+``copy_subformula``, behind replace_subformula / substitute_leaf).
 
 Conventions used throughout the package:
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     ArityViolation,
@@ -237,6 +238,12 @@ class Circuit:
                 best = max(best, 1)
         return best
 
+    def fanin_parameter(self) -> int:
+        """The fan-in c of the energy bounds: the mode's limit, or for an
+        UNBOUNDED circuit its actual maximum fan-in, never below 2."""
+        limit = self.fanin_mode.limit()
+        return limit if limit is not None else max(2, self.max_fanin())
+
     def __repr__(self) -> str:
         return (
             f"Circuit(n={self.num_vars}, gates={len(self.gates)}, "
@@ -408,48 +415,67 @@ def restrict(circuit: Circuit, assignment: dict[int, int]) -> Circuit:
     )
 
 
-def substitute_leaf(formula: Formula, leaf_id: int, replacement: Formula) -> Formula:
-    """Replace one INPUT leaf of a formula by a whole formula.
+def copy_subformula(
+    out: list[Gate],
+    gates: Sequence[Gate],
+    root: int,
+    swap_at: int = -1,
+    swap_in: Formula | None = None,
+) -> int:
+    """Append the subformula of ``gates`` at ``root`` to ``out`` in post-order
+    (children left to right, then the gate) and return its new id.  The
+    subformula at ``swap_at``, if met, is replaced by a copy of ``swap_in``.
 
-    The replacement's gates are spliced in at the leaf's position (its leaves
-    keep their own variable indices, which must fit the host's ``numVars``).
-    No folding happens; the result is a formula over
-    ``max(host.numVars, replacement.numVars)`` variables.
+    This is the one kernel for formula surgery: restriction, the GK blocks
+    and leaf substitution all copy through it.
     """
+    if root == swap_at:
+        return copy_subformula(out, swap_in.gates, swap_in.output)
+    g = gates[root]
+    if g.children:
+        kids = [copy_subformula(out, gates, c, swap_at, swap_in) for c in g.children]
+        g = Gate(g.kind, tuple(kids))
+    out.append(g)
+    return len(out) - 1
+
+
+def const_formula(bit: int) -> Formula:
+    """The formula that is the single constant ``bit``."""
+    return Formula(0, (const_gate(int(bit)),), 0, validate=False)
+
+
+def replace_subformula(formula: Formula, gate_id: int, replacement: Formula) -> Formula:
+    """A post-order copy of ``formula`` with the subformula at ``gate_id``
+    replaced by ``replacement``.  No folding happens; the result is a formula
+    over ``max(host.numVars, replacement.numVars)`` variables.
+    """
+    if not 0 <= gate_id < len(formula.gates):
+        raise UnknownGateRef(f"no gate g{gate_id}")
+    gates: list[Gate] = []
+    out = copy_subformula(gates, formula.gates, formula.output, gate_id, replacement)
+    return Formula(
+        max(formula.num_vars, replacement.num_vars), gates, out, formula.fanin_mode,
+        validate=False,
+    )
+
+
+def substitute_leaf(formula: Formula, leaf_id: int, replacement: Formula) -> Formula:
+    """Replace one INPUT leaf of a formula by a whole formula (its leaves keep
+    their own variable indices)."""
     if not 0 <= leaf_id < len(formula.gates):
         raise UnknownGateRef(f"no gate g{leaf_id}")
     if formula.gates[leaf_id].kind != INPUT:
         raise UnknownGateRef(f"g{leaf_id} is a {formula.gates[leaf_id].kind} gate, not a leaf")
-    tree = formula_to_tree(formula)
-    target = _tree_path_to(formula, leaf_id)
-    new_tree = _tree_replace(tree, target, formula_to_tree(replacement))
-    return formula_from_tree(
-        new_tree,
-        max(formula.num_vars, replacement.num_vars),
-        fanin_mode=formula.fanin_mode,
-    )
+    return replace_subformula(formula, leaf_id, replacement)
 
 
 # --------------------------------------------------------------------------
-# formulas as nested trees
+# tuple syntax for formulas
 #
-# Tree nodes are plain tuples: ("var", v), ("const", b), ("not", t),
-# ("and", [t, ...]), ("or", [t, ...]).  They make formula surgery (GK-style
-# decompositions, leaf substitution) easy to get right; ``formula_from_tree``
-# lays the result back out in dense post-order.
-
-TreeNode = Union[tuple]
-
-
-def formula_to_tree(formula: Formula, root: int | None = None):
-    g = formula.gates[formula.output if root is None else root]
-    if g.kind == INPUT:
-        return ("var", g.arg)
-    if g.kind == CONST:
-        return ("const", g.arg)
-    if g.kind == NOT:
-        return ("not", formula_to_tree(formula, g.children[0]))
-    return (g.kind.lower(), [formula_to_tree(formula, c) for c in g.children])
+# ``formula_from_tree`` builds a formula from plain tuples: ("var", v),
+# ("const", b), ("not", t), ("and", [t, ...]), ("or", [t, ...]), laid out in
+# dense post-order.  This is only an input syntax (the corpus generators and
+# the tests write formulas this way); formula surgery works on the gate list.
 
 
 def formula_from_tree(tree, num_vars: int, fanin_mode: FaninMode = UNBOUNDED) -> Formula:
@@ -472,35 +498,6 @@ def formula_from_tree(tree, num_vars: int, fanin_mode: FaninMode = UNBOUNDED) ->
 
     out = build(tree)
     return Formula(num_vars, gates, out, fanin_mode, validate=False)
-
-
-def _tree_path_to(formula: Formula, target: int) -> tuple[int, ...]:
-    """Child-index path from the output gate down to ``target``."""
-    parent: dict[int, tuple[int, int]] = {}
-    for gid, g in enumerate(formula.gates):
-        for slot, c in enumerate(g.children):
-            parent[c] = (gid, slot)
-    path: list[int] = []
-    gid = target
-    while gid != formula.output:
-        if gid not in parent:
-            raise UnknownGateRef(f"g{target} is not in the output cone")
-        gid, slot = parent[gid]
-        path.append(slot)
-    path.reverse()
-    return tuple(path)
-
-
-def _tree_replace(tree, path: tuple[int, ...], replacement):
-    if not path:
-        return replacement
-    head, rest = path[0], path[1:]
-    tag = tree[0]
-    if tag == "not":
-        return ("not", _tree_replace(tree[1], rest, replacement))
-    kids = list(tree[1])
-    kids[head] = _tree_replace(kids[head], rest, replacement)
-    return (tag, kids)
 
 
 # --------------------------------------------------------------------------

@@ -82,9 +82,7 @@ def run_protocol(instance: KwInstance, cap: int | None = None) -> KwTranscript:
     trace = evaluate(circuit, a1)
     vals = trace.gate_values
 
-    limit = circuit.fanin_mode.limit()
-    c = limit if limit is not None else max(2, circuit.max_fanin())
-    addr_bits = max(1, (c - 1).bit_length())
+    addr_bits = max(1, (circuit.fanin_parameter() - 1).bit_length())
 
     alice_bits = 0
     bob_bits = 0
@@ -96,7 +94,6 @@ def run_protocol(instance: KwInstance, cap: int | None = None) -> KwTranscript:
     # output.  The output always fires (f(a') = 1); a NOT feeder may not, and
     # whether it does only needs a flag when the walk so far settles neither
     # the feeder nor the NOT.
-    targets: list[tuple[int, bool]] = []  # (gate id, liveness known free)
     not_feeders = [
         (gid, g.children[0])
         for gid, g in enumerate(circuit.gates)
@@ -128,18 +125,16 @@ def run_protocol(instance: KwInstance, cap: int | None = None) -> KwTranscript:
                 stack.append(child)
             # NOT and CONST are dead ends: nothing below fires "positively".
 
-    dead_nots: set[int] = set()  # NOT gates both parties know fired
     for not_id, feeder in not_feeders:
         if feeder in visited:
             explore(feeder)
-        elif not_id in dead_nots or not_id in visited:
+        elif not_id in visited:
             pass  # feeder known dead, nothing to explore
         else:
             sync_bits += 1
             if vals[feeder] == 1:
                 explore(feeder)
             else:
-                dead_nots.add(not_id)
                 visited.add(not_id)
     explore(circuit.output)
 

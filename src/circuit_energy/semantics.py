@@ -33,7 +33,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,14 +73,12 @@ def var_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int) -> list[int]:
+def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int) -> None:
     """Set ``masks[g]`` for every gate id g in ``ids`` (ascending, closed
-    under children) over inputs block * 2^k .. (block + 1) * 2^k - 1, and
-    return the masks of the NOT, AND and OR gates among them, in order."""
+    under children) over inputs block * 2^k .. (block + 1) * 2^k - 1."""
     full = (1 << (1 << k)) - 1
     vm = var_masks(k)
     gates = circuit.gates
-    ops = []
     for gid in ids:
         kind, ch, arg = gates[gid]
         if kind == INPUT:
@@ -98,8 +97,6 @@ def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int) -> list[
             for c in ch[1:]:
                 m |= masks[c]
         masks[gid] = m
-        ops.append(m)
-    return ops
 
 
 def gate_masks(circuit: Circuit, cap: int | None = None) -> list[int]:
@@ -370,12 +367,13 @@ def _block_planes(circuit: Circuit, counted):
     k = min(n, BLOCK_VARS)
     size = len(circuit.gates)
     masks = [0] * size
-    flags = repeat(True) if counted is None else counted
+    # the NOT/AND/OR gates are exactly the gates with children
+    ops = list(compress(range(size), map(itemgetter(1), circuit.gates)))
+    if counted is not None:
+        ops = list(compress(ops, counted))
     for b in range(1 << (n - k)):
-        # the op list is not bound, so it is gone before the next block's sweep
-        yield b << k, k, count_planes(
-            compress(_sweep(circuit, masks, range(size), k, b), flags)
-        )
+        _sweep(circuit, masks, range(size), k, b)
+        yield b << k, k, count_planes(map(masks.__getitem__, ops))
 
 
 def max_firing(circuit: Circuit, cap: int | None = None, counted=None) -> tuple[int, tuple]:

@@ -247,6 +247,8 @@ def test_gen_bad_fanin_is_a_usage_error(capsys):
         ["--num-vars", "-1", "--size", "3", "--shape", "FORMULA"],
         ["--num-vars", "3", "--size", "-2"],
         ["--num-vars", "3", "--size", "-2", "--shape", "DTREE"],
+        ["--num-vars", "30000000", "--size", "3"],
+        ["--num-vars", "30", "--size", "5000000"],
     ],
 )
 def test_gen_rejects_sizes_it_cannot_build(args, capsys):

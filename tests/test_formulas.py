@@ -11,6 +11,8 @@ from circuit_energy import (
     NotReadOnce,
     RootNotAllowed,
     ToolkitError,
+    UNBOUNDED,
+    UnknownGateRef,
     decompose_gk,
     energies,
     energy_exhaustive,
@@ -24,6 +26,7 @@ from circuit_energy import (
 )
 from circuit_energy.corpus import GenSpec, generate, generate_nonskew
 from circuit_energy.ir import structural_stats
+from circuit_energy.textio import serialize_netlist
 
 
 def F(tree, n):
@@ -51,6 +54,12 @@ def test_restriction_refuses_the_root():
         restriction_energy_check(AND_OR, AND_OR.output, 1)
 
 
+@pytest.mark.parametrize("gate_id", [-1, len(AND_OR.gates)])
+def test_restriction_refuses_a_missing_gate(gate_id):
+    with pytest.raises(UnknownGateRef):
+        restriction_energy_check(AND_OR, gate_id, 0)
+
+
 def test_restriction_holds_across_corpus():
     for s in range(40):
         f = generate(
@@ -76,6 +85,36 @@ def test_decomposition_of_single_negation():
     assert res.block_count == 3
     assert equivalent(res.f_prime, f)
     assert energy_exhaustive(res.f_prime).ec == 5
+
+
+def test_decomposition_splits_a_context_and_a_two_sided_root():
+    # AND(x2, OR(NOT x0, NOT x1)): the negations meet at the OR, below the
+    # root, so the context AND(x2, z) is split out at z = 0 and z = 1; the OR
+    # then has two negated children and stays in the skeleton.
+    f = F(("and", [("var", 2), ("or", [("not", ("var", 0)), ("not", ("var", 1))])]), 3)
+    res = decompose_gk(f)
+    assert res.blocks == ((0, 2), (3, 5), (6, 6), (8, 8))
+    assert res.skeleton_gates == (7, 9, 10, 11, 12)
+    assert res.block_count == 4
+    assert res.f_prime.fanin_mode == UNBOUNDED
+    assert serialize_netlist(res.f_prime) == "\n".join([
+        "INPUT x2",
+        "g1 = CONST 0",
+        "g2 = AND g0 g1",
+        "INPUT x2",
+        "g4 = CONST 1",
+        "g5 = AND g3 g4",
+        "INPUT x0",
+        "g7 = NOT g6",
+        "INPUT x1",
+        "g9 = NOT g8",
+        "g10 = OR g7 g9",
+        "g11 = AND g5 g10",
+        "g12 = OR g2 g11",
+        "OUTPUT g12",
+        "",
+    ])
+    assert equivalent(res.f_prime, f)
 
 
 def test_decomposition_invariants_on_corpus():

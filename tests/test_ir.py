@@ -23,8 +23,8 @@ from circuit_energy import (
     as_formula,
     bounded,
     dt_depth_of,
+    const_gate,
     formula_from_tree,
-    formula_to_tree,
     input_gate,
     not_gate,
     or_gate,
@@ -76,6 +76,15 @@ def test_fanin_cap_enforced():
     with pytest.raises(ArityViolation):
         Circuit(3, gates, 3, FANIN2)
     assert Circuit(3, gates, 3, bounded(3)).max_fanin() == 3
+
+
+def test_fanin_parameter_is_the_mode_limit_or_the_actual_fanin():
+    gates = [input_gate(0), input_gate(1), input_gate(2), Gate(AND, (0, 1, 2))]
+    assert Circuit(3, gates, 3, bounded(5)).fanin_parameter() == 5
+    assert Circuit(3, gates, 3, UNBOUNDED).fanin_parameter() == 3
+    assert Circuit(2, gates[:2] + [and_gate(0, 1)], 2, FANIN2).fanin_parameter() == 2
+    # an UNBOUNDED circuit of NOTs alone still counts as fan-in 2
+    assert Circuit(1, [input_gate(0), not_gate(0)], 1, UNBOUNDED).fanin_parameter() == 2
 
 
 def test_duplicate_input_var_rejected_for_circuits():
@@ -133,10 +142,19 @@ def test_restrict_to_constant_collapses():
     assert len(r.gates) < len(c.gates)
 
 
-def test_formula_tree_roundtrip():
+def test_formula_from_tree_lays_out_post_order():
     tree = ("or", [("not", ("var", 0)), ("and", [("var", 1), ("const", 1)])])
     f = formula_from_tree(tree, 2)
-    assert formula_to_tree(f) == tree
+    assert f.gates == (
+        input_gate(0),
+        not_gate(0),
+        input_gate(1),
+        const_gate(1),
+        and_gate(2, 3),
+        or_gate(1, 4),
+    )
+    assert f.output == 5
+    f.validate()
 
 
 def test_substitute_leaf():
