@@ -97,26 +97,41 @@ def decompose_gk(formula: Formula) -> DecompositionResult:
         blocks.append((start, out))
         return out
 
-    def gk(root: int) -> int:
-        if negs[root] == 0:
-            return block(root)
-        lca = root
-        while src[lca].kind != NOT:
-            negged = [c for c in src[lca].children if negs[c]]
-            if len(negged) != 1:
-                break
-            lca = negged[0]
-        if lca == root:
-            g = src[root]
-            gates.append(Gate(g.kind, tuple(gk(c) for c in g.children)))
+    # an explicit stack of tasks, so deep formulas do not hit the recursion
+    # limit: (SPLIT, gate, _) decomposes the subformula at a gate;
+    # (JOIN, kind, k) puts a gate over the last k parts; (GLUE, ctx0, ctx1)
+    # builds ctx0 OR (ctx1 AND F1) around the last part F1
+    SPLIT, JOIN, GLUE = range(3)
+    done: list[int] = []  # ids in ``gates`` of the parts built so far
+    stack = [(SPLIT, formula.output, 0)]
+    while stack:
+        task, a, b = stack.pop()
+        if task == JOIN:
+            gates.append(Gate(a, tuple(done[-b:])))
+            del done[-b:]
+        elif task == GLUE:
+            gates.append(and_gate(b, done.pop()))
+            gates.append(or_gate(a, len(gates) - 1))
+        elif negs[a] == 0:
+            block(a)
         else:
-            ctx0 = block(root, lca, zero)
-            ctx1 = block(root, lca, one)
-            gates.append(and_gate(ctx1, gk(lca)))
-            gates.append(or_gate(ctx0, len(gates) - 1))
-        return len(gates) - 1
+            lca = a
+            while src[lca].kind != NOT:
+                negged = [c for c in src[lca].children if negs[c]]
+                if len(negged) != 1:
+                    break
+                lca = negged[0]
+            if lca == a:
+                kids = src[a].children
+                stack.append((JOIN, src[a].kind, len(kids)))
+                stack.extend((SPLIT, c, 0) for c in reversed(kids))
+            else:
+                stack.append((GLUE, block(a, lca, zero), block(a, lca, one)))
+                stack.append((SPLIT, lca, 0))
+            continue
+        done.append(len(gates) - 1)
 
-    out = gk(formula.output)
+    out = done[0]
     f_prime = Formula(formula.num_vars, gates, out, UNBOUNDED, validate=False)
     in_block = set()
     for start, end in blocks:

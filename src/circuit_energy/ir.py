@@ -427,16 +427,28 @@ def copy_subformula(
     subformula at ``swap_at``, if met, is replaced by a copy of ``swap_in``.
 
     This is the one kernel for formula surgery: restriction, the GK blocks
-    and leaf substitution all copy through it.
+    and leaf substitution all copy through it.  It walks an explicit stack,
+    so the depth of a formula is not bounded by Python's recursion limit.
     """
-    if root == swap_at:
-        return copy_subformula(out, swap_in.gates, swap_in.output)
-    g = gates[root]
-    if g.children:
-        kids = [copy_subformula(out, gates, c, swap_at, swap_in) for c in g.children]
-        g = Gate(g.kind, tuple(kids))
-    out.append(g)
-    return len(out) - 1
+    done: list[int] = []  # new ids of the subformulas copied so far
+    stack = [root]  # a gate id to copy, or ~gid once its children are copied
+    while stack:
+        gid = stack.pop()
+        if gid < 0:
+            g = gates[~gid]
+            k = len(g.children)
+            out.append(Gate(g.kind, tuple(done[-k:])))
+            del done[-k:]
+        elif gid == swap_at:
+            copy_subformula(out, swap_in.gates, swap_in.output)
+        elif gates[gid].children:
+            stack.append(~gid)
+            stack += gates[gid].children[::-1]
+            continue
+        else:
+            out.append(gates[gid])
+        done.append(len(out) - 1)
+    return done[0]
 
 
 def const_formula(bit: int) -> Formula:
@@ -478,26 +490,32 @@ def substitute_leaf(formula: Formula, leaf_id: int, replacement: Formula) -> For
 # the tests write formulas this way); formula surgery works on the gate list.
 
 
+_TREE_KINDS = {"not": NOT, "and": AND, "or": OR}
+
+
 def formula_from_tree(tree, num_vars: int, fanin_mode: FaninMode = UNBOUNDED) -> Formula:
     gates: list[Gate] = []
-
-    def build(t) -> int:
-        tag = t[0]
-        if tag == "var":
+    done: list[int] = []  # ids of the subtrees built so far
+    stack: list = [(tree, None)]  # (subtree, None) to build, (kind, k) to join
+    while stack:
+        t, k = stack.pop()
+        if k is not None:  # a gate of kind t over the k subtrees built last
+            cut = len(done) - k
+            gates.append(Gate(t, tuple(done[cut:])))
+            del done[cut:]
+        elif t[0] == "var":
             gates.append(input_gate(t[1]))
-        elif tag == "const":
+        elif t[0] == "const":
             gates.append(const_gate(t[1]))
-        elif tag == "not":
-            gates.append(not_gate(build(t[1])))
-        elif tag in ("and", "or"):
-            kids = tuple(build(c) for c in t[1])
-            gates.append(Gate(AND if tag == "and" else OR, kids))
+        elif t[0] in _TREE_KINDS:
+            kids = [t[1]] if t[0] == "not" else list(t[1])
+            stack.append((_TREE_KINDS[t[0]], len(kids)))
+            stack.extend((c, None) for c in reversed(kids))
+            continue
         else:
             raise ValueError(f"bad tree node {t!r}")
-        return len(gates) - 1
-
-    out = build(tree)
-    return Formula(num_vars, gates, out, fanin_mode, validate=False)
+        done.append(len(gates) - 1)
+    return Formula(num_vars, gates, done[0], fanin_mode, validate=False)
 
 
 # --------------------------------------------------------------------------

@@ -16,10 +16,15 @@ for a block and hands back the NOT, AND and OR masks.  Energy is counted
 bit-sliced over them: a carry-save counter adds the masks into about
 log2(gates) bit-plane ints, and a top-down scan of the planes gives the
 block's maximum and its first input; a later block wins only with a strictly
-larger maximum.  psens counts the same way over masks derived from the truth
-table.  Truth tables join the output mask of each block.  n <= 16 is one
-block on the same path.  energy_moments reads exact energy sums and sampled
-per-input energies off the same planes, without a per-input array.
+larger maximum.  Over several blocks, the gates that read only x0..x15
+(fixed gates) have the same mask in every block: they are swept for block 0
+only, and their count, with a constant 1 per complement pair (a counted NOT
+over a counted gate, exactly one of which fires), is made once and is where
+each block's counter starts; a block sweeps and counts only the other gates.
+psens counts the same way over masks derived from the truth table.  Truth
+tables join the output mask of each block.  n <= 16 is one block on the same
+path, with no fixed-gate pass.  energy_moments reads exact energy sums and
+sampled per-input energies off the same planes, without a per-input array.
 gate_masks, which firing_patterns needs, is the whole-width sweep: one block
 of 2^n, priced against MASK_BUDGET before anything is allocated.
 firing_patterns returns its distinct patterns as sorted packed rows
@@ -74,8 +79,9 @@ def var_masks(n: int) -> tuple[int, ...]:
 
 
 def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int) -> None:
-    """Set ``masks[g]`` for every gate id g in ``ids`` (ascending, closed
-    under children) over inputs block * 2^k .. (block + 1) * 2^k - 1."""
+    """Set ``masks[g]`` for every gate id g in ``ids`` (ascending; each child
+    is in ``ids`` or already set) over inputs block * 2^k .. (block + 1) *
+    2^k - 1."""
     full = (1 << (1 << k)) - 1
     vm = var_masks(k)
     gates = circuit.gates
@@ -97,6 +103,30 @@ def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int) -> None:
             for c in ch[1:]:
                 m |= masks[c]
         masks[gid] = m
+
+
+def _fixed(circuit: Circuit, ids) -> list[bool]:
+    """Flags, over the gate list, of the gates in ``ids`` (ascending, closed
+    under children) that read no variable >= BLOCK_VARS: an INPUT below it,
+    a CONST, or a gate whose children are all fixed.  Their masks are the
+    same in every block."""
+    gates = circuit.gates
+    fixed = [False] * len(gates)
+    for gid in ids:
+        kind, ch, arg = gates[gid]
+        fixed[gid] = arg < BLOCK_VARS if kind == INPUT else all(map(fixed.__getitem__, ch))
+    return fixed
+
+
+def _blocks(circuit: Circuit, masks: list[int], ids, fixed: list[bool]):
+    """Sweep the gates ``ids`` (ascending, closed under children) over every
+    block of 2^BLOCK_VARS inputs, yielding each block's index once its masks
+    are set.  The gates flagged in ``fixed`` (see _fixed) are swept in block
+    0 only: their masks carry over to every later block."""
+    rest = [gid for gid in ids if not fixed[gid]]
+    for b in range(1 << (circuit.num_vars - BLOCK_VARS)):
+        _sweep(circuit, masks, rest if b else ids, BLOCK_VARS, b)
+        yield b
 
 
 def gate_masks(circuit: Circuit, cap: int | None = None) -> list[int]:
@@ -232,20 +262,23 @@ def _cone(circuit: Circuit) -> list[int]:
 
 
 def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
-    """The output's table, joined from the output mask of every block.  Over
-    several blocks only the output cone is swept; in a single block, finding
-    the cone costs more than the dead gates it would skip."""
+    """The output's mask.  Over several blocks, the output masks of the
+    blocks are joined, and only the output cone is swept, its fixed gates
+    once; in a single block, finding the cone costs more than the dead gates
+    it would skip."""
     n = circuit.num_vars
     _check_cap(n, cap, EVAL_CAP)
-    k = min(n, BLOCK_VARS)
     size = len(circuit.gates)
-    ids = range(size) if n == k else _cone(circuit)
     masks = [0] * size
-    width = ((1 << k) + 7) >> 3
-    parts = []
-    for b in range(1 << (n - k)):
-        _sweep(circuit, masks, ids, k, b)
-        parts.append(masks[circuit.output].to_bytes(width, "little"))
+    if n <= BLOCK_VARS:
+        _sweep(circuit, masks, range(size), n, 0)
+        return TruthTable(n, masks[circuit.output])
+    ids = _cone(circuit)
+    width = 1 << (BLOCK_VARS - 3)
+    parts = [
+        masks[circuit.output].to_bytes(width, "little")
+        for _ in _blocks(circuit, masks, ids, _fixed(circuit, ids))
+    ]
     return TruthTable(n, int.from_bytes(b"".join(parts), "little"))
 
 
@@ -309,17 +342,17 @@ class EnergyReport:
     argmax_input: tuple
 
 
-def count_planes(masks) -> list[int]:
-    """Bit-sliced count of the set masks at every input: plane j holds bit j
-    of each input's count.
+def count_planes(masks, start=()) -> list[int]:
+    """Bit-sliced count of the set masks at every input, on top of the count
+    that the planes ``start`` hold: plane j holds bit j of each input's count.
 
     A vertical carry-save counter: each level keeps one pending mask, and a
     second mask at that level goes through a full adder with the level's
     plane, sending its carry one level up.  That costs a handful of big-int
     operations per mask whatever the count grows to.
     """
-    planes: list[int] = []
-    pending: list[int] = []  # 0 means empty: adding 0 changes nothing
+    planes = list(start)
+    pending = [0] * len(planes)  # 0 means empty: adding 0 changes nothing
     for m in masks:
         j = 0
         while m:
@@ -362,7 +395,14 @@ def _lanes(mask: int, total: int) -> np.ndarray:
 
 def _block_planes(circuit: Circuit, counted):
     """Per block of inputs: its first index, its width 2^k and the count
-    planes of the NOT/AND/OR gates that ``counted`` flags (all when None)."""
+    planes of the NOT/AND/OR gates that ``counted`` flags (all when None).
+
+    Over several blocks, the count each block's counter starts from is made
+    once: the fixed counted gates (see _fixed), and one per complement pair,
+    a counted NOT over a counted gate, since exactly one of the two fires on
+    every input.  Each gate is paired at most once.  A block then counts only
+    its other gates.
+    """
     n = circuit.num_vars
     k = min(n, BLOCK_VARS)
     size = len(circuit.gates)
@@ -371,9 +411,29 @@ def _block_planes(circuit: Circuit, counted):
     ops = list(compress(range(size), map(itemgetter(1), circuit.gates)))
     if counted is not None:
         ops = list(compress(ops, counted))
-    for b in range(1 << (n - k)):
-        _sweep(circuit, masks, range(size), k, b)
-        yield b << k, k, count_planes(map(masks.__getitem__, ops))
+    if n == k:
+        _sweep(circuit, masks, range(size), k, 0)
+        yield 0, k, count_planes(map(masks.__getitem__, ops))
+        return
+    gates = circuit.gates
+    fixed = _fixed(circuit, range(size))
+    single = [False] * size  # counted and not (yet) in a pair
+    pairs = 0
+    for gid in ops:
+        kind, ch, _ = gates[gid]
+        if kind == NOT and single[ch[0]]:
+            single[ch[0]] = False
+            pairs += 1
+        else:
+            single[gid] = True
+    ops = [gid for gid in ops if single[gid]]
+    full = (1 << (1 << k)) - 1
+    start = [full * ((pairs >> j) & 1) for j in range(pairs.bit_length())]
+    for b in _blocks(circuit, masks, range(size), fixed):
+        if not b:  # the fixed masks are set now and stay for every block
+            start = count_planes((masks[gid] for gid in ops if fixed[gid]), start)
+            ops = [gid for gid in ops if not fixed[gid]]
+        yield b << k, k, count_planes(map(masks.__getitem__, ops), start)
 
 
 def max_firing(circuit: Circuit, cap: int | None = None, counted=None) -> tuple[int, tuple]:

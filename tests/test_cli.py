@@ -274,6 +274,32 @@ def test_closed_stdout_is_not_a_crash():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+def test_fml_decompose_takes_a_deep_chain(tmp_path, capsys):
+    # 700 leaves under a 699-deep AND chain over NOT x0: 1 400 gates
+    lines = [f"INPUT x{i}" for i in range(700)] + ["a0 = NOT x0"]
+    lines += [f"a{k} = AND a{k - 1} x{k}" for k in range(1, 700)]
+    path = tmp_path / "chain.cir"
+    path.write_text("\n".join(lines) + "\nOUTPUT a699\n")
+    assert main(["fml-decompose", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "T=3 budget=3 L=700 L'=1399 skeleton=3"
+
+
+def test_python_m_replays_a_witness():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def cenergy(*args):
+        done = subprocess.run([sys.executable, "-m", "circuit_energy", *args], input=OR2,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0 and not done.stderr, done.stderr
+        return done.stdout.strip()
+
+    assert cenergy("energy", "-") == "EC=1 argmax=10"
+    assert cenergy("eval", "-", "--input", "10") == "value=1 energy=1"
+
+
 def test_verify_all_single_check_smoke(capsys):
     rc = main(["verify-all", "--level", "smoke", "--only", "cascade-taps"])
     out = capsys.readouterr().out

@@ -117,6 +117,18 @@ def test_decomposition_splits_a_context_and_a_two_sided_root():
     assert equivalent(res.f_prime, f)
 
 
+def test_decomposition_of_a_deep_formula():
+    # NOT(AND(NOT(AND(... x0 ...), x1), x2)...): 3 000 levels, far below
+    # the recursion limit if the decomposition recursed once per level
+    t = ("var", 0)
+    for i in range(1, 1501):
+        t = ("not", ("and", [t, ("var", i % 8)]))
+    f = F(t, 8)
+    res = decompose_gk(f)
+    assert res.block_count <= 5 * structural_stats(f).negs - 2
+    assert equivalent(res.f_prime, f)
+
+
 def test_decomposition_invariants_on_corpus():
     checked = 0
     for s in range(120):

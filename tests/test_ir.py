@@ -157,6 +157,20 @@ def test_formula_from_tree_lays_out_post_order():
     f.validate()
 
 
+def test_deep_formulas_build_and_copy():
+    depth = 5000  # five times the default recursion limit
+    t = ("var", 0)
+    for i in range(depth):
+        t = ("not", t) if i % 2 else ("or", [("var", 1), t])
+    f = formula_from_tree(t, 2)
+    assert len(f.gates) == 1 + depth + depth // 2 and f.output == len(f.gates) - 1
+    leaf = f.gates.index(input_gate(0))
+    assert substitute_leaf(f, leaf, formula_from_tree(("var", 0), 1)).gates == f.gates
+    out = substitute_leaf(f, leaf, formula_from_tree(("and", [("var", 0), ("var", 0)]), 1))
+    assert len(out.gates) == len(f.gates) + 2
+    assert truth_table(out) == truth_table(f)  # x0 AND x0 is x0
+
+
 def test_substitute_leaf():
     host = formula_from_tree(("and", [("var", 0), ("var", 1)]), 2)
     leaf = next(i for i, g in enumerate(host.gates) if g.kind == INPUT and g.arg == 1)

@@ -1,5 +1,8 @@
+import random
 import tracemalloc
 from bisect import bisect_left
+
+import numpy as np
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,8 +26,9 @@ from circuit_energy import (
     var_masks,
 )
 from circuit_energy.corpus import CIRCUIT, MONOTONE, GenSpec, fixture, generate
-from circuit_energy.ir import INPUT
-from circuit_energy.semantics import BLOCK_VARS
+from circuit_energy.formulas import readonce_leafneg_energy
+from circuit_energy.ir import INPUT, NOT, OP_KINDS
+from circuit_energy.semantics import BLOCK_VARS, count_planes
 from circuit_energy.textio import parse_netlist
 
 XOR2 = TruthTable(2, 0b0110)
@@ -151,6 +155,124 @@ DEAD_GATES = (
 def test_truth_table_matches_gate_masks_over_blocks(c):
     assert c.num_vars == 18
     assert truth_table(c).bits == gate_masks(c)[c.output]
+
+
+# --------------------------------------------------------------------------
+# blocked counting against whole-width masks: above 2^16 inputs each block
+# starts from the count of the fixed gates and the complement pairs
+
+
+def count_planes_ref(c, counted=None):
+    """Per-input count of the (``counted``) op gates from the whole-width
+    gate_masks, unpacked and summed: no blocks, no hoisting, no pairing."""
+    n = c.num_vars
+    ops = [g for g, gate in enumerate(c.gates) if gate.kind in OP_KINDS]
+    if counted is not None:
+        ops = [g for g, keep in zip(ops, counted) if keep]
+    masks = gate_masks(c)
+    total = np.zeros(1 << n, dtype=np.int64)
+    for g in ops:
+        raw = np.frombuffer(masks[g].to_bytes(1 << (n - 3), "little"), dtype=np.uint8)
+        total += np.unpackbits(raw, bitorder="little")
+    return total
+
+
+def _counts(planes, total):
+    return sum(_unpacked(p, total) << j for j, p in enumerate(planes))
+
+
+def _unpacked(mask, total):
+    raw = np.frombuffer(mask.to_bytes(total >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").astype(np.int64)
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_count_planes_starts_from_planes(n):
+    rng = random.Random(n)
+    width = 1 << n
+    masks = [rng.getrandbits(width) for _ in range(9)]
+    start = [rng.getrandbits(width) for _ in range(3)] + [(1 << width) - 1]
+    # plane j of the start stands for 2^j copies of its mask
+    repeated = [p for j, p in enumerate(start) for _ in range(1 << j)]
+    got = count_planes(masks, start)
+    assert got == count_planes(repeated + masks)
+    ones = sum(_unpacked(m, width) for m in masks)
+    assert (_counts(got, width) == _counts(start, width) + ones).all()
+    assert count_planes([], start) == start
+
+
+PAIRS = (
+    "a = AND x0 x16\n"
+    "na = NOT a\n"  # a NOT over an op gate: a pair
+    "nna = NOT na\n"  # NOT(NOT a): na is paired already
+    "nb = NOT a\n"  # a second NOT over a: a is paired already
+    "nx = NOT x17\n"  # a NOT over an INPUT, which is never counted
+    "f = OR x1 x2\n"
+    "nf = NOT f\n"  # a fixed pair
+    "o = OR nna nb nx nf x3\n"
+    "OUTPUT o\n"
+)
+HIGH_ONLY = (
+    "h = AND x16 x17\n"  # reads only x16 and above
+    "nh = NOT h\n"
+    "g = OR h x18\n"
+    "c = AND x0 x1\n"
+    "o = OR g c nh\n"
+    "OUTPUT o\n"
+)
+ALL_FIXED = "a = AND x0 x1\nna = NOT a\no = OR na x15\nOUTPUT o\n"
+# block 0 peaks at 4 on input 4|8 = 12 (the pair, f, g, h); block 1 ties
+TIE = (
+    "a = AND x0 x1\nna = NOT a\n"
+    "f = OR x2 x3\ng = AND x2 x3\nh = OR x2 x16\n"
+    "OUTPUT h\n"
+)
+BLOCKED_CASES = {
+    "pairs": parse_netlist(_inputs(18) + PAIRS),
+    "high-only": parse_netlist(_inputs(19) + HIGH_ONLY),
+    "all-fixed": parse_netlist(_inputs(17) + ALL_FIXED),
+    "tie": parse_netlist(_inputs(17) + TIE),
+    **{f"n{n}-seed{s}": _circuit(n, 40, seed=s) for n, s in ((17, 11), (19, 12), (20, 13))},
+    "n18-monotone": _circuit(18, 30, MONOTONE, seed=14),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCKED_CASES))
+def test_blocked_energy_matches_whole_width_masks(name):
+    c = BLOCKED_CASES[name]
+    n = c.num_vars
+    ref = count_planes_ref(c)
+    rep = energy_exhaustive(c)
+    best = int(ref.argmax())  # the first input attaining the maximum
+    assert rep.ec == ref[best]
+    assert rep.argmax_input == tuple((best >> i) & 1 for i in range(n))
+    assert (energies(c) == ref).all()
+    at = np.random.default_rng(n).integers(0, 1 << n, size=200, dtype=np.uint64)
+    at[:2] = (0, (1 << n) - 1)
+    m = energy_moments(c, at)
+    assert (m.total, m.square_total) == (int(ref.sum()), int((ref * ref).sum()))
+    assert (m.drawn == ref[at.astype(np.intp)]).all()
+
+
+def test_first_argmax_tie_across_blocks_with_a_start():
+    ref = count_planes_ref(BLOCKED_CASES["tie"])
+    half = 1 << BLOCK_VARS
+    assert ref[:half].max() == ref[half:].max() == 4
+    assert energy_exhaustive(BLOCKED_CASES["tie"]).argmax_input == tuple(
+        (12 >> i) & 1 for i in range(17))
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_blocked_readonce_matches_whole_width_masks(n):
+    f = generate(GenSpec(seed=n, num_vars=n, size_budget=n, neg_density=0.5,
+                         shape="READONCE_LEAFNEG"))
+    assert any(g.kind == NOT for g in f.gates)
+    binary = [g.kind != NOT for g in f.gates if g.kind in OP_KINDS]
+    ref = count_planes_ref(f, binary)
+    rep = readonce_leafneg_energy(f)
+    best = int(ref.argmax())
+    assert rep.ec == ref[best] == n - 1
+    assert rep.witness_input == tuple((best >> i) & 1 for i in range(n))
 
 
 def test_truth_table_from_values_and_cofactor():
