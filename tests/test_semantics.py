@@ -3,7 +3,6 @@ import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
-
 import pytest
 from hypothesis import given, strategies as st
 

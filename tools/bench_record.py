@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Record the benchmark of one or more checkouts into ``BENCH_<pr>.json``.
+"""Record the benchmark of one or more checkouts into ``BENCH_<n>.json``.
 
-    python3 tools/bench_record.py --pr 10 parent=/path/to/parent change=.
+    python3 tools/bench_record.py --number 10 parent=../parent change=.
 
 For every workload of ``perfbench`` and every seed 1..k, each checkout runs
 ``perfbench/run.py --trace 0`` in turn (the order alternates from seed to
@@ -38,8 +38,6 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
 
 def spread(values: list[float]) -> dict:
     """Median and interquartile range (inclusive quartiles)."""
-    if len(values) < 2:
-        return {"median": values[0], "iqr": 0.0}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "iqr": q3 - q1}
 
@@ -66,10 +64,10 @@ def self_times(record: dict) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
+    ap.add_argument("--number", required=True, help="names the output file BENCH_<n>.json")
     ap.add_argument("--seeds", type=int, default=3, help="seeds 1..k per workload (k >= 3)")
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--out", type=Path, default=None, help="default: BENCH_<pr>.json at the root")
+    ap.add_argument("--out", type=Path, default=None, help="default: BENCH_<n>.json at the root")
     ap.add_argument("checkouts", nargs="+", help="LABEL=DIR, one per checkout")
     args = ap.parse_args(argv)
     if args.seeds < 3:
@@ -112,7 +110,7 @@ def main(argv=None) -> int:
             for label, _ in sides
         ],
     }
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = args.out or ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
     return 0
