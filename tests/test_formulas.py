@@ -118,8 +118,8 @@ def test_decomposition_splits_a_context_and_a_two_sided_root():
 
 
 def test_decomposition_of_a_deep_formula():
-    # NOT(AND(NOT(AND(... x0 ...), x1), x2)...): 3 000 levels, far below
-    # the recursion limit if the decomposition recursed once per level
+    # NOT(AND(NOT(AND(... x0 ...), x1), x2)...): 3 000 levels, far above
+    # the recursion limit, which a recursive decomposition would hit
     t = ("var", 0)
     for i in range(1, 1501):
         t = ("not", ("and", [t, ("var", i % 8)]))

@@ -6,10 +6,12 @@
 For every workload of ``perfbench`` and every seed 1..k, each checkout runs
 ``perfbench/run.py --trace 0`` in turn (the order alternates from seed to
 seed, so slow drift of a shared host weighs on both sides alike), then one
-``--trace 1`` run per workload at seed 1.  The file holds the machine and
-each checkout's commit; per workload the median and interquartile range of
-every end-to-end metric, rescaled as ``run.py`` reports it beside unscaled;
-the calibration medians of the runs; and the traced per-layer ``self_s``.
+``--trace 1`` run per workload at seed 1.  Every run lasts the benchmark's
+own ``run_seconds``.  The file holds the machine and each checkout's commit;
+per workload the median, interquartile range and per-seed values (in seed
+order, so that seed s of one checkout pairs with seed s of another) of every
+end-to-end metric, rescaled as ``run.py`` reports it beside unscaled; the
+calibration medians of the runs; and the traced per-layer ``self_s``.
 ``run.py`` itself is run unchanged from each checkout.
 """
 
@@ -25,21 +27,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("dtree-compile", "wide-sweep", "small-certify")
 END_TO_END = ("throughput_inst_s", "latency_ms_p50", "latency_ms_tail", "setup_s", "peak_rss_mb")
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``run.py`` run; returns the record it wrote to ``perfbench/out``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     out = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(out.read_text())
 
 
 def spread(values: list[float]) -> dict:
-    """Median and interquartile range (inclusive quartiles)."""
+    """Median, interquartile range (inclusive quartiles) and the values."""
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": med, "iqr": q3 - q1}
+    return {"median": med, "iqr": q3 - q1, "per_seed": values}
 
 
 def summarize(records: list[dict]) -> dict:
@@ -65,9 +68,7 @@ def self_times(record: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--number", required=True, help="names the output file BENCH_<n>.json")
-    ap.add_argument("--seeds", type=int, default=3, help="seeds 1..k per workload (k >= 3)")
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--out", type=Path, default=None, help="default: BENCH_<n>.json at the root")
+    ap.add_argument("--seeds", type=int, default=10, help="seeds 1..k per workload (k >= 3)")
     ap.add_argument("checkouts", nargs="+", help="LABEL=DIR, one per checkout")
     args = ap.parse_args(argv)
     if args.seeds < 3:
@@ -86,16 +87,16 @@ def main(argv=None) -> int:
             order = sides if seed % 2 else sides[::-1]
             for label, path in order:
                 print(f"{w} seed={seed} {label}", file=sys.stderr, flush=True)
-                plain[label][w].append(run(path, w, seed, args.seconds, 0))
+                plain[label][w].append(run(path, w, seed, 0))
         for label, path in sides:
             print(f"{w} traced {label}", file=sys.stderr, flush=True)
-            traced[label, w] = run(path, w, 1, args.seconds, 1)
+            traced[label, w] = run(path, w, 1, 1)
 
     first = plain[sides[0][0]][WORKLOADS[0]][0]["machine"]
     doc = {
         "what": "perfbench/run.py end-to-end runs (--trace 0) over seeds 1..k per workload, "
                 "checkouts alternating, plus one --trace 1 run per workload at seed 1",
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} "
                    "--trace T",
         "seeds": list(range(1, args.seeds + 1)),
         "machine": {k: v for k, v in first.items() if k != "commit"},
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
             for label, _ in sides
         ],
     }
-    out = args.out or ROOT / f"BENCH_{args.number}.json"
+    out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
     return 0
