@@ -66,7 +66,6 @@ from .semantics import (
     PsensReport,
     TruthTable,
     dt_depth,
-    energies,
     energy_exhaustive,
     energy_moments,
     equivalent,

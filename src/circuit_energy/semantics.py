@@ -12,25 +12,28 @@ Sweeps run in blocks of 2^16 inputs (BLOCK_VARS): inside block b, variables
 below 16 are the usual columns and variable v >= 16 is the constant bit
 v - 16 of b, so a gate's mask for one block is 8 KB whatever n is, and a
 sweep holds one block of masks at a time.  One kernel sets every gate's mask
-for a block and hands back the NOT, AND and OR masks.  Energy is counted
-bit-sliced over them: a carry-save counter adds the masks into about
-log2(gates) bit-plane ints, and a top-down scan of the planes gives the
-block's maximum and its first input; a later block wins only with a strictly
-larger maximum.  Over several blocks, the gates that read only x0..x15
-(fixed gates) have the same mask in every block: they are swept for block 0
-only, and their count, with a constant 1 per complement pair (a counted NOT
-over a counted gate, exactly one of which fires), is made once and is where
-each block's counter starts; a block sweeps and counts only the other gates.
-psens counts the same way over masks derived from the truth table.  Truth
-tables join the output mask of each block.  n <= 16 is one block on the same
-path, with no fixed-gate pass.  energy_moments reads exact energy sums and
-sampled per-input energies off the same planes, without a per-input array.
+for a block, testing AND and OR first since most gates are one of the two,
+and can append each NOT, AND and OR mask, in gate order, to a list the
+caller passes in.  Energy is counted bit-sliced over those masks: a
+carry-save counter adds them into about log2(gates) bit-plane ints, and a
+top-down scan of the planes gives the block's maximum and its first input;
+a later block wins only with a strictly larger maximum.  n <= 16 is one
+block, and the counter reads the kernel's list of op masks as it stands,
+with no second pass over the gates to pick them.  Over several blocks, the
+gates that read only x0..x15 (fixed gates) have the same mask in every
+block: they are swept for block 0 only, and their count, with a constant 1
+per complement pair (a counted NOT over a counted gate, exactly one of
+which fires), is made once and is where each block's counter starts; a
+block sweeps and counts only the other gates.  psens counts the same way
+over masks derived from the truth table.  Truth tables join the output mask
+of each block.  energy_moments reads exact energy sums and sampled
+per-input energies off the same planes, without a per-input array.
 gate_masks, which firing_patterns needs, is the whole-width sweep: one block
 of 2^n, priced against MASK_BUDGET before anything is allocated.
 firing_patterns returns its distinct patterns as sorted packed rows
 (Patterns), which become tuples only as they are read.  numpy is kept for
-the bit transpose and unpacking of those rows, for gathering sampled bits
-and for the per-input array that energies() returns.
+the bit transpose and unpacking of those rows and for gathering sampled
+bits.
 """
 
 from __future__ import annotations
@@ -78,31 +81,38 @@ def var_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int) -> None:
+def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int, ops=None) -> None:
     """Set ``masks[g]`` for every gate id g in ``ids`` (ascending; each child
     is in ``ids`` or already set) over inputs block * 2^k .. (block + 1) *
-    2^k - 1."""
+    2^k - 1, and append each NOT/AND/OR mask, in gate order, to the list
+    ``ops`` when one is given.  AND and OR, most of the gates, are tested
+    first, and two children take no loop."""
     full = (1 << (1 << k)) - 1
     vm = var_masks(k)
     gates = circuit.gates
     for gid in ids:
         kind, ch, arg = gates[gid]
-        if kind == INPUT:
-            masks[gid] = vm[arg] if arg < k else full * ((block >> (arg - k)) & 1)
+        if kind == AND:
+            m = masks[ch[0]] & masks[ch[-1]]
+            if len(ch) > 2:
+                for c in ch[1:-1]:
+                    m &= masks[c]
+        elif kind == OR:
+            m = masks[ch[0]] | masks[ch[-1]]
+            if len(ch) > 2:
+                for c in ch[1:-1]:
+                    m |= masks[c]
+        elif kind == NOT:
+            m = full ^ masks[ch[0]]
+        else:
+            if kind == INPUT:
+                masks[gid] = vm[arg] if arg < k else full * ((block >> (arg - k)) & 1)
+            else:  # CONST
+                masks[gid] = full if arg else 0
             continue
-        if kind == CONST:
-            masks[gid] = full if arg else 0
-            continue
-        m = masks[ch[0]]
-        if kind == NOT:
-            m = full ^ m
-        elif kind == AND:
-            for c in ch[1:]:
-                m &= masks[c]
-        else:  # OR
-            for c in ch[1:]:
-                m |= masks[c]
         masks[gid] = m
+        if ops is not None:
+            ops.append(m)
 
 
 def _fixed(circuit: Circuit, ids) -> list[bool]:
@@ -407,14 +417,15 @@ def _block_planes(circuit: Circuit, counted):
     k = min(n, BLOCK_VARS)
     size = len(circuit.gates)
     masks = [0] * size
+    if n == k:  # one block: count the op masks as the sweep hands them over
+        ops: list[int] = []
+        _sweep(circuit, masks, range(size), k, 0, ops)
+        yield 0, k, count_planes(ops if counted is None else compress(ops, counted))
+        return
     # the NOT/AND/OR gates are exactly the gates with children
     ops = list(compress(range(size), map(itemgetter(1), circuit.gates)))
     if counted is not None:
         ops = list(compress(ops, counted))
-    if n == k:
-        _sweep(circuit, masks, range(size), k, 0)
-        yield 0, k, count_planes(map(masks.__getitem__, ops))
-        return
     gates = circuit.gates
     fixed = _fixed(circuit, range(size))
     single = [False] * size  # counted and not (yet) in a pair
@@ -447,17 +458,6 @@ def max_firing(circuit: Circuit, cap: int | None = None, counted=None) -> tuple[
         if peak > best:  # strictly: an earlier block keeps a tie
             best, arg = peak, base + idx
     return best, tuple((arg >> i) & 1 for i in range(circuit.num_vars))
-
-
-def energies(circuit: Circuit, cap: int | None = None) -> np.ndarray:
-    """Per-input energy over all 2^n inputs as a numpy uint32 array."""
-    _check_cap(circuit.num_vars, cap, EVAL_CAP)
-    acc = np.zeros(1 << circuit.num_vars, dtype=np.uint32)
-    for base, k, planes in _block_planes(circuit, None):
-        block = acc[base : base + (1 << k)]
-        for j, plane in enumerate(planes):
-            block |= _lanes(plane, 1 << k).astype(np.uint32) << j
-    return acc
 
 
 @dataclass(slots=True)

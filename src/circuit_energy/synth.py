@@ -5,7 +5,9 @@ the fan-in-2 reduction.
 The merge and the tree compiler build into one flat ``_Table`` of gate rows.
 Negation elimination rewires rows in place (a selector takes over one NOT's
 row and the other NOT forwards to it), and ``_Table.lay_out`` emits the
-finished output cone as a dense topologically ordered Circuit.
+finished output cone as a dense topologically ordered Circuit.  It walks an
+explicit stack in the order of a recursive depth-first walk, so a deep cone
+lays out in the same gate order and meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -95,21 +97,42 @@ class _Table:
         return ands
 
     def lay_out(self, root: int, fanin_mode: FaninMode) -> Circuit:
-        """The output cone of ``root`` as a dense Circuit, children first."""
+        """The output cone of ``root`` as a dense Circuit, children first.
+
+        A depth-first walk on an explicit stack: a row is laid out after its
+        children, taken in list order, and the first time it is reached, the
+        order a recursive walk gives.  An entry ``~r`` lays row r out once
+        the children above it on the stack are done.  The walk points each
+        row it reaches at the rows its children forward to (``find``).
+        """
+        rows, same = self.rows, self.same
+        for t in same:  # forward in one step
+            same[t] = self.find(t)
+        new = tuple.__new__  # Gate's own constructor is a Python call
         gates: list[Gate] = []
-        gid = [-1] * len(self.rows)
-
-        def visit(r: int) -> int:
-            r = self.find(r)
-            if gid[r] < 0:
-                kind, kids, arg = self.rows[r]
-                kids = tuple(visit(c) for c in kids)
-                gid[r] = len(gates)
-                gates.append(Gate(kind, kids, arg))
-            return gid[r]
-
-        out = visit(root)
-        return Circuit(self.n, gates, out, fanin_mode, validate=False)
+        emit = gates.append
+        gid = [-1] * len(rows)
+        top = self.find(root)
+        stack = [top]
+        pop, push = stack.pop, stack.append
+        while stack:
+            r = pop()
+            if r < 0:
+                kind, kids, arg = rows[~r]
+                gid[~r] = len(gates)
+                emit(new(Gate, (kind, tuple(map(gid.__getitem__, kids)), arg)))
+            elif gid[r] < 0:
+                row = rows[r]
+                kids = row[1]
+                if kids:
+                    if same:
+                        kids = row[1] = [same.get(c, c) for c in kids]
+                    push(~r)
+                    stack += reversed(kids)
+                else:
+                    gid[r] = len(gates)
+                    emit(new(Gate, (row[0], (), row[2])))
+        return Circuit(self.n, gates, gid[top], fanin_mode, validate=False)
 
 
 # --------------------------------------------------------------------------
@@ -316,18 +339,20 @@ def fanin2_reduce(result: DtCompileResult) -> Circuit:
     guard zeroes the entire comb.  The output is an equivalent FANIN2 circuit
     with EC <= 2*d^2*(d+1)."""
     src = result.circuit
+    new = tuple.__new__  # Gate's own constructor is a Python call
     gates: list[Gate] = []
+    emit = gates.append
     idmap: list[int] = []
-    for g in src.gates:
-        kids = [idmap[c] for c in g.children]
+    for kind, kids, arg in src.gates:
+        kids = tuple(map(idmap.__getitem__, kids))
         if len(kids) > 2:
             acc = len(gates)
-            gates.append(Gate(g.kind, (kids[-2], kids[-1])))
+            emit(new(Gate, (kind, kids[-2:], 0)))
             for c in reversed(kids[:-2]):
-                gates.append(Gate(g.kind, (c, acc)))
-                acc = len(gates) - 1
+                emit(new(Gate, (kind, (c, acc), 0)))
+                acc += 1
             idmap.append(acc)
         else:
             idmap.append(len(gates))
-            gates.append(Gate(g.kind, tuple(kids), g.arg))
+            emit(new(Gate, (kind, kids, arg)))
     return Circuit(src.num_vars, gates, idmap[src.output], FANIN2, validate=False)

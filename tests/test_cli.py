@@ -285,19 +285,36 @@ def test_fml_decompose_takes_a_deep_chain(tmp_path, capsys):
     assert out.splitlines()[0] == "T=3 budget=3 L=700 L'=1399 skeleton=3"
 
 
-def test_python_m_replays_a_witness():
+def _python_m(*args, stdin=""):
+    """``python -m circuit_energy ARGS`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "circuit_energy", *args], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
 
+
+def test_python_m_replays_a_witness():
     def cenergy(*args):
-        done = subprocess.run([sys.executable, "-m", "circuit_energy", *args], input=OR2,
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = _python_m(*args, stdin=OR2)
         assert done.returncode == 0 and not done.stderr, done.stderr
         return done.stdout.strip()
 
     assert cenergy("energy", "-") == "EC=1 argmax=10"
     assert cenergy("eval", "-", "--input", "10") == "value=1 energy=1"
+
+
+@pytest.mark.parametrize("verb", ["dt2circuit", "fanin2"])
+@pytest.mark.parametrize("depth", [600, 900])
+def test_deep_chain_tree_exits_2(verb, depth):
+    # (x0 (x1 ... (x{d-1} 0 1) ...) 1): a valid reduced tree as deep as it
+    # has variables.  It compiles, and the sweep refuses its n in one line.
+    text = f"(x{depth - 1} 0 1)"
+    for v in reversed(range(depth - 1)):
+        text = f"(x{v} {text} 1)"
+    done = _python_m(verb, "-", stdin=text + "\n")
+    assert done.returncode == 2, done.stderr[-300:]
+    assert done.stderr == f"error: n={depth} exceeds the enumeration cap 24\n"
 
 
 def test_verify_all_single_check_smoke(capsys):

@@ -14,7 +14,6 @@ from circuit_energy import (
     UNBOUNDED,
     UnknownGateRef,
     decompose_gk,
-    energies,
     energy_exhaustive,
     equivalent,
     evaluate,
@@ -27,6 +26,7 @@ from circuit_energy import (
 from circuit_energy.corpus import GenSpec, generate, generate_nonskew
 from circuit_energy.ir import structural_stats
 from circuit_energy.textio import serialize_netlist
+from sweep_ref import energies
 
 
 def F(tree, n):

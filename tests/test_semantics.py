@@ -11,7 +11,6 @@ from circuit_energy import (
     LengthMismatch,
     TruthTable,
     dt_depth,
-    energies,
     energy_exhaustive,
     energy_moments,
     equivalent,
@@ -27,8 +26,10 @@ from circuit_energy import (
 from circuit_energy.corpus import CIRCUIT, MONOTONE, GenSpec, fixture, generate
 from circuit_energy.formulas import readonce_leafneg_energy
 from circuit_energy.ir import INPUT, NOT, OP_KINDS
-from circuit_energy.semantics import BLOCK_VARS, count_planes
+from circuit_energy.semantics import BLOCK_VARS, count_planes, max_firing
+from circuit_energy.synth import dt_to_circuit, minterm_cascade
 from circuit_energy.textio import parse_netlist
+from sweep_ref import energies, gate_lanes, lanes
 
 XOR2 = TruthTable(2, 0b0110)
 
@@ -161,21 +162,6 @@ def test_truth_table_matches_gate_masks_over_blocks(c):
 # starts from the count of the fixed gates and the complement pairs
 
 
-def count_planes_ref(c, counted=None):
-    """Per-input count of the (``counted``) op gates from the whole-width
-    gate_masks, unpacked and summed: no blocks, no hoisting, no pairing."""
-    n = c.num_vars
-    ops = [g for g, gate in enumerate(c.gates) if gate.kind in OP_KINDS]
-    if counted is not None:
-        ops = [g for g, keep in zip(ops, counted) if keep]
-    masks = gate_masks(c)
-    total = np.zeros(1 << n, dtype=np.int64)
-    for g in ops:
-        raw = np.frombuffer(masks[g].to_bytes(1 << (n - 3), "little"), dtype=np.uint8)
-        total += np.unpackbits(raw, bitorder="little")
-    return total
-
-
 def _counts(planes, total):
     return sum(_unpacked(p, total) << j for j, p in enumerate(planes))
 
@@ -240,12 +226,11 @@ BLOCKED_CASES = {
 def test_blocked_energy_matches_whole_width_masks(name):
     c = BLOCKED_CASES[name]
     n = c.num_vars
-    ref = count_planes_ref(c)
+    ref = energies(c)
     rep = energy_exhaustive(c)
     best = int(ref.argmax())  # the first input attaining the maximum
     assert rep.ec == ref[best]
     assert rep.argmax_input == tuple((best >> i) & 1 for i in range(n))
-    assert (energies(c) == ref).all()
     at = np.random.default_rng(n).integers(0, 1 << n, size=200, dtype=np.uint64)
     at[:2] = (0, (1 << n) - 1)
     m = energy_moments(c, at)
@@ -254,7 +239,7 @@ def test_blocked_energy_matches_whole_width_masks(name):
 
 
 def test_first_argmax_tie_across_blocks_with_a_start():
-    ref = count_planes_ref(BLOCKED_CASES["tie"])
+    ref = energies(BLOCKED_CASES["tie"])
     half = 1 << BLOCK_VARS
     assert ref[:half].max() == ref[half:].max() == 4
     assert energy_exhaustive(BLOCKED_CASES["tie"]).argmax_input == tuple(
@@ -267,11 +252,83 @@ def test_blocked_readonce_matches_whole_width_masks(n):
                          shape="READONCE_LEAFNEG"))
     assert any(g.kind == NOT for g in f.gates)
     binary = [g.kind != NOT for g in f.gates if g.kind in OP_KINDS]
-    ref = count_planes_ref(f, binary)
+    ref = energies(f, binary)
     rep = readonce_leafneg_energy(f)
     best = int(ref.argmax())
     assert rep.ec == ref[best] == n - 1
     assert rep.witness_input == tuple((best >> i) & 1 for i in range(n))
+
+
+# --------------------------------------------------------------------------
+# the sweep kernel against whole-width masks, which are checked in turn
+# against a numpy evaluation gate by gate: AND/OR over more than two
+# children, CONST gates, NOT over NOT, n = 0 and 1, a multi-tap circuit, a
+# compiled tree, and a circuit over two blocks
+
+KERNEL = (
+    "k1 = CONST 1\n"
+    "k0 = CONST 0\n"
+    "a = AND x0 x1 x2 k1\n"
+    "o = OR x3 a k0 x1 x0\n"
+    "na = NOT a\n"
+    "nna = NOT na\n"
+    "nk = NOT k0\n"
+    "b = AND nna o nk\n"
+    "c = OR b na x2\n"
+    "d = AND k0 x2\n"  # never fires
+    "e = OR c d\n"
+    "ne = NOT e\n"
+    "f = AND e x1\n"
+)
+KERNEL_CASES = {
+    "wide-const-notnot": parse_netlist(_inputs(4) + KERNEL + "OUTPUT f\n"),
+    "n0": parse_netlist(
+        "g0 = CONST 0\ng1 = NOT g0\ng2 = NOT g1\ng3 = OR g0 g1 g2\ng4 = AND g1 g3 g1\nOUTPUT g4\n"
+    ),
+    "n1": parse_netlist(
+        "INPUT x0\nk = CONST 1\nn = NOT x0\nnn = NOT n\na = AND x0 k nn\no = OR n a k\nOUTPUT o\n"
+    ),
+    "multi-tap": minterm_cascade(3).circuit,
+    "compiled-tree": dt_to_circuit(
+        generate(GenSpec(seed=3, num_vars=8, size_budget=7, shape="DTREE"))
+    ).circuit,
+    "n17-two-blocks": parse_netlist(
+        _inputs(17) + KERNEL.replace("x3", "x16") + "g = OR nna x16 k0 x5\nng = NOT g\nOUTPUT f\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_sweep_kernel_matches_whole_width_masks(name):
+    c = KERNEL_CASES[name]
+    n = c.num_vars
+    masks = gate_masks(c)
+    assert all((lanes(m, n) == v).all() for m, v in zip(masks, gate_lanes(c)))
+
+    def first(counts):
+        best = int(counts.argmax())
+        return counts[best], tuple((best >> i) & 1 for i in range(n))
+
+    ref = energies(c)
+    rep = energy_exhaustive(c)
+    assert (rep.ec, rep.argmax_input) == first(ref)
+    assert truth_table(c).bits == masks[c.output]
+    if n <= 12:
+        at = np.arange(1 << n, dtype=np.uint64)
+    else:
+        at = np.random.default_rng(n).integers(0, 1 << n, size=300, dtype=np.uint64)
+        at[:2] = (0, (1 << n) - 1)
+    m = energy_moments(c, at)
+    assert (m.total, m.square_total) == (int(ref.sum()), int((ref * ref).sum()))
+    assert (m.drawn == ref[at.astype(np.intp)]).all()
+    kinds = [g.kind for g in c.gates if g.kind in OP_KINDS]
+    rng = random.Random(name)
+    for counted in (
+        [k != NOT for k in kinds],  # as readonce_leafneg_energy counts
+        [rng.random() < 0.5 for _ in kinds],
+        [False] * len(kinds),
+    ):
+        assert max_firing(c, counted=counted) == first(energies(c, counted))
 
 
 def test_truth_table_from_values_and_cofactor():
@@ -393,6 +450,6 @@ def test_equivalent_pads_to_common_width():
 def test_eval_cap_guard():
     big = GenSpec(seed=0, num_vars=30, size_budget=3, shape="CIRCUIT")
     c = generate(big)
-    for sweep in (truth_table, energy_exhaustive, energies, gate_masks, firing_patterns):
+    for sweep in (truth_table, energy_exhaustive, gate_masks, firing_patterns):
         with pytest.raises(CapExceeded):
             sweep(c)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from circuit_energy import (
@@ -23,7 +25,7 @@ from circuit_energy import (
 )
 from circuit_energy.corpus import GenSpec, generate
 from circuit_energy.ir import structural_stats
-from circuit_energy.textio import parse_netlist
+from circuit_energy.textio import parse_netlist, serialize_netlist
 from circuit_energy.verify import _all_reduced_trees
 
 
@@ -219,3 +221,33 @@ def test_compiled_sizes_on_a_corpus_slice():
     assert len(trees) == 462
     assert (gates, gates2, negs) == (10317, 15021, 1203)
     assert (ec, ec2) == (32, 73)
+
+
+def test_compiled_netlists_are_pinned_byte_for_byte():
+    # every 997th tree of the n=4 corpus, 40 seeded n=8-12 trees of depth
+    # 6-10 and merges of both kinds: pins the gate order of both compilers
+    # and the merge, so the layout and the fan-in-2 combs cannot drift
+    corpus = [
+        DecisionTree(4, root)
+        for k, root in enumerate(_all_reduced_trees(4, 3)[0])
+        if k % 997 == 0
+    ]
+    deep = [
+        generate(GenSpec(seed=s, num_vars=8 + s % 5, size_budget=6 + s % 5, shape="DTREE"))
+        for s in range(40)
+    ]
+    h = hashlib.sha256()
+    reduced = []
+    for tree in corpus + deep:
+        res = dt_to_circuit(tree)
+        c2 = fanin2_reduce(res)
+        h.update(serialize_netlist(res.circuit).encode())
+        h.update(serialize_netlist(c2).encode())
+        reduced.append(c2)
+    pairs = [(k, k + 1) for k in range(0, len(corpus) - 1, 3)]
+    pairs += [(len(corpus) + s, len(corpus) + s + 5) for s in range(0, 35, 3)]
+    for k, j in pairs:
+        c0, c1 = reduced[k], reduced[j]
+        h.update(serialize_netlist(connector_merge(c0, c1, k % c0.num_vars)).encode())
+    assert (len(reduced), len(pairs)) == (406, 134)
+    assert h.hexdigest() == "3c8f27cee3ceb4be4e065401e1ec38f7430ca0bbf861d6675e8b82f686b5e1cd"

@@ -12,13 +12,19 @@ per workload the median, interquartile range and per-seed values (in seed
 order, so that seed s of one checkout pairs with seed s of another) of every
 end-to-end metric, rescaled as ``run.py`` reports it beside unscaled; the
 calibration medians of the runs; and the traced per-layer ``self_s``.
-``run.py`` itself is run unchanged from each checkout.
+``run.py`` itself is run unchanged from each checkout.  Before the
+workloads, each checkout runs ``python -m circuit_energy verify-all --level
+full --json`` once, in the reverse of seed 1's order; the file keeps each
+check's ``seconds``, the wall time and a digest of the output without
+them, which two checkouts with the same results share.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,6 +43,24 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     out = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(out.read_text())
+
+
+def verify_all(checkout: Path) -> dict:
+    """Per-check seconds and wall time of one full ``verify-all --json`` run
+    of a checkout, and the SHA-256 of its output without them."""
+    cmd = [sys.executable, "-m", "circuit_energy", "verify-all", "--level", "full", "--json"]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode not in (0, 1):  # 1: a checked inequality failed
+        raise SystemExit(f"verify-all failed in {checkout}:\n{done.stderr}")
+    doc = json.loads(done.stdout)
+    seconds = {c["check_id"]: c.pop("seconds") for c in doc["checks"]}
+    return {
+        "exit_code": done.returncode,
+        "seconds": seconds,
+        "wall_time_s": doc.pop("wall_time"),
+        "output_sha256": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+    }
 
 
 def spread(values: list[float]) -> dict:
@@ -80,6 +104,10 @@ def main(argv=None) -> int:
             ap.error(f"{spec!r} is not LABEL=DIR of a checkout with perfbench/run.py")
         sides.append((label, Path(path).resolve()))
 
+    verify = {}
+    for label, path in sides[::-1]:
+        print(f"verify-all {label}", file=sys.stderr, flush=True)
+        verify[label] = verify_all(path)
     plain = {label: {w: [] for w in WORKLOADS} for label, _ in sides}
     traced = {}
     for w in WORKLOADS:
@@ -95,7 +123,8 @@ def main(argv=None) -> int:
     first = plain[sides[0][0]][WORKLOADS[0]][0]["machine"]
     doc = {
         "what": "perfbench/run.py end-to-end runs (--trace 0) over seeds 1..k per workload, "
-                "checkouts alternating, plus one --trace 1 run per workload at seed 1",
+                "checkouts alternating, plus one --trace 1 run per workload at seed 1, "
+                "and one `verify-all --level full --json` run per checkout",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} "
                    "--trace T",
         "seeds": list(range(1, args.seeds + 1)),
@@ -104,6 +133,7 @@ def main(argv=None) -> int:
             {
                 "label": label,
                 "commit": plain[label][WORKLOADS[0]][0]["machine"]["commit"],
+                "verify_all_full": verify[label],
                 "workloads": {w: {**summarize(plain[label][w]),
                                   "traced_self_s": self_times(traced[label, w])}
                               for w in WORKLOADS},
