@@ -99,21 +99,18 @@ class _Table:
     def lay_out(self, root: int, fanin_mode: FaninMode) -> Circuit:
         """The output cone of ``root`` as a dense Circuit, children first.
 
-        A depth-first walk on an explicit stack: a row is laid out after its
-        children, taken in list order, and the first time it is reached, the
-        order a recursive walk gives.  An entry ``~r`` lays row r out once
-        the children above it on the stack are done.  The walk points each
-        row it reaches at the rows its children forward to (``find``).
+        A depth-first walk on an explicit stack, in the order of a recursive
+        walk: a row is laid out the first time it is reached, after its
+        children in list order.  An entry ``~r`` lays row r out once the
+        children above it on the stack are done.  A forwarded row (``same``)
+        takes the id of the row it forwards to, once that one is laid out.
         """
         rows, same = self.rows, self.same
-        for t in same:  # forward in one step
-            same[t] = self.find(t)
         new = tuple.__new__  # Gate's own constructor is a Python call
         gates: list[Gate] = []
         emit = gates.append
         gid = [-1] * len(rows)
-        top = self.find(root)
-        stack = [top]
+        stack = [root]
         pop, push = stack.pop, stack.append
         while stack:
             r = pop()
@@ -122,17 +119,24 @@ class _Table:
                 gid[~r] = len(gates)
                 emit(new(Gate, (kind, tuple(map(gid.__getitem__, kids)), arg)))
             elif gid[r] < 0:
-                row = rows[r]
-                kids = row[1]
+                if r in same:
+                    t = same[r]
+                    if gid[t] < 0:  # come back to r once t is laid out
+                        push(r)
+                        push(t)
+                    else:
+                        gid[r] = gid[t]
+                    continue
+                kind, kids, arg = rows[r]
                 if kids:
-                    if same:
-                        kids = row[1] = [same.get(c, c) for c in kids]
                     push(~r)
-                    stack += reversed(kids)
+                    for c in reversed(kids):
+                        if gid[c] < 0:
+                            push(c)
                 else:
                     gid[r] = len(gates)
-                    emit(new(Gate, (row[0], (), row[2])))
-        return Circuit(self.n, gates, gid[top], fanin_mode, validate=False)
+                    emit(new(Gate, (kind, (), arg)))
+        return Circuit(self.n, gates, gid[root], fanin_mode, validate=False)
 
 
 # --------------------------------------------------------------------------
