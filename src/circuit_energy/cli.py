@@ -24,7 +24,7 @@ from .formulas import (
 )
 from .ir import DecisionTree, dt_depth_of, parse_fanin_mode, structural_stats
 from .kw import make_instance, run_protocol
-from .semantics import energy_exhaustive, evaluate, firing_patterns
+from .semantics import EVAL_CAP, _check_cap, energy_exhaustive, evaluate, firing_patterns
 from .synth import compile_truth_table, dt_to_circuit, fanin2_reduce
 from .textio import (
     parse_dtree,
@@ -99,9 +99,16 @@ def _cmd_compile_tt(args) -> int:
     return 0
 
 
+def _load_tree(arg: str) -> DecisionTree:
+    """A decision tree that the sweeps after its compilation can take: its
+    variable count is checked against EVAL_CAP before anything is built."""
+    tree = parse_dtree(_read(arg))
+    _check_cap(tree.num_vars, None, EVAL_CAP)
+    return tree
+
+
 def _cmd_dt2circuit(args) -> int:
-    tree = parse_dtree(_read(args.tree))
-    res = dt_to_circuit(tree)
+    res = dt_to_circuit(_load_tree(args.tree))
     rep = energy_exhaustive(res.circuit)
     d = res.tree_depth
     print(
@@ -114,8 +121,7 @@ def _cmd_dt2circuit(args) -> int:
 
 
 def _cmd_fanin2(args) -> int:
-    tree = parse_dtree(_read(args.tree))
-    res = dt_to_circuit(tree)
+    res = dt_to_circuit(_load_tree(args.tree))
     c2 = fanin2_reduce(res)
     rep = energy_exhaustive(c2)
     d = res.tree_depth

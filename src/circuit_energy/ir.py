@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -229,14 +230,9 @@ class Circuit:
         return m
 
     def max_fanin(self) -> int:
-        """Largest AND/OR fan-in present (1 if only NOTs, 0 if no op gates)."""
-        best = 0
-        for g in self.gates:
-            if g.kind in (AND, OR):
-                best = max(best, len(g.children))
-            elif g.kind == NOT:
-                best = max(best, 1)
-        return best
+        """Largest AND/OR fan-in present (1 if only NOTs, 0 if no op gates):
+        the largest child count, since sources have no children."""
+        return max(map(len, map(itemgetter(1), self.gates)), default=0)
 
     def fanin_parameter(self) -> int:
         """The fan-in c of the energy bounds: the mode's limit, or for an
@@ -538,20 +534,27 @@ class DecisionTree:
             self.validate()
 
     def validate(self) -> None:
-        def walk(node, seen: frozenset) -> None:
+        """Leaves are 0/1, and each path reads distinct in-range variables.
+        Nodes are checked depth-first, low branch first, on an explicit
+        stack, so the depth of a tree is not bounded by the recursion limit.
+        """
+        n = self.num_vars
+        stack = [(self.root, 0)]  # (node, bitmask of the variables above it)
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, seen = pop()
             if isinstance(node, int):
                 if node not in (0, 1):
                     raise ParseError(f"leaf must be 0/1, got {node!r}")
-                return
+                continue
             var, low, high = node
-            if not 0 <= var < self.num_vars:
-                raise VarOutOfRange(f"x{var} out of range for n={self.num_vars}")
-            if var in seen:
+            if not 0 <= var < n:
+                raise VarOutOfRange(f"x{var} out of range for n={n}")
+            if seen >> var & 1:
                 raise VarOutOfRange(f"x{var} repeats along a path; tree is not reduced")
-            walk(low, seen | {var})
-            walk(high, seen | {var})
-
-        walk(self.root, frozenset())
+            seen |= 1 << var
+            push((high, seen))
+            push((low, seen))
 
     def depth(self) -> int:
         return dt_depth_of(self.root)

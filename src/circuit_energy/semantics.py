@@ -31,9 +31,11 @@ per-input energies off the same planes, without a per-input array.
 gate_masks, which firing_patterns needs, is the whole-width sweep: one block
 of 2^n, priced against MASK_BUDGET before anything is allocated.
 firing_patterns returns its distinct patterns as sorted packed rows
-(Patterns), which become tuples only as they are read.  numpy is kept for
-the bit transpose and unpacking of those rows and for gathering sampled
-bits.
+(Patterns), which become tuples only as they are read.  It packs the rows
+eight gates at a time, one 8x8 bit transpose per 64-bit word of mask bytes,
+and dedupes them as fixed-width byte strings, whose order is tuple order.
+numpy is kept for that transpose, the dedupe and unpacking of the rows, and
+for gathering sampled bits.
 """
 
 from __future__ import annotations
@@ -397,12 +399,6 @@ def max_planes(planes: list[int], full: int) -> tuple[int, int]:
     return best, (cand & -cand).bit_length() - 1
 
 
-def _lanes(mask: int, total: int) -> np.ndarray:
-    """Bit j of ``mask`` as entry j of a uint8 array of length ``total``."""
-    raw = np.frombuffer(mask.to_bytes((total + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=total)
-
-
 def _block_planes(circuit: Circuit, counted):
     """Per block of inputs: its first index, its width 2^k and the count
     planes of the NOT/AND/OR gates that ``counted`` flags (all when None).
@@ -505,10 +501,12 @@ def energy_exhaustive(circuit: Circuit, cap: int | None = None) -> EnergyReport:
 class Patterns(Sequence):
     """Distinct firing patterns as sorted packed rows.
 
-    ``rows`` is a uint8 array with one row of ceil(width / 8) bytes per
-    pattern, bits big-endian so that byte order is tuple order.  A row
-    becomes a 0/1 tuple only when it is read: ``p[k]`` unpacks one row and
-    iteration unpacks 1024 rows at a time.
+    ``rows`` is a C-contiguous uint8 array with one row of ceil(width / 8)
+    bytes per pattern, bits big-endian and padded with zero bits, so that
+    the rows compare as equal-width byte strings (memcmp) in tuple order;
+    firing_patterns dedupes and sorts them that way.  A row becomes a 0/1
+    tuple only when it is read: ``p[k]`` unpacks one row and iteration
+    unpacks 1024 rows at a time.
     """
 
     __slots__ = ("rows", "width")
@@ -541,6 +539,14 @@ class Patterns(Sequence):
         return f"Patterns(count={len(self)}, width={self.width})"
 
 
+# delta swaps (mask, shift) that transpose the 8x8 bit matrix of a uint64
+# word, byte r as row r and bit c of a byte as column c
+_TRANSPOSE8 = tuple(
+    (np.uint64(m), np.uint64(s))
+    for m, s in ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0xF0F0F0F0, 28))
+)
+
+
 def firing_patterns(circuit: Circuit, cap: int | None = None) -> Patterns:
     """Distinct vectors of non-input gate values over all inputs, sorted.
 
@@ -550,18 +556,35 @@ def firing_patterns(circuit: Circuit, cap: int | None = None) -> Patterns:
     total = 1 << circuit.num_vars
     masks = gate_masks(circuit, cap)
     masks = [m for g, m in zip(circuit.gates, masks) if g.kind != INPUT]
-    if not masks:
+    count = len(masks)
+    if not count:
         return Patterns(np.zeros((1, 0), dtype=np.uint8), 0)
-    # one row of big-endian bytes per input, so bytewise order is tuple
-    # order; built transposed, so each gate ORs into one contiguous byte row
-    width = (len(masks) + 7) >> 3
-    packed = np.zeros((width, total), dtype=np.uint8)
-    for k, m in enumerate(masks):
-        packed[k >> 3] |= _lanes(m, total) << np.uint8(7 - (k & 7))
-    rows = np.ascontiguousarray(packed.T)
-    del packed  # freed before np.unique sorts its own copy of the rows
-    uniq = np.unique(rows.view(np.dtype((np.void, width))).ravel())
-    return Patterns(uniq.view(np.uint8).reshape(-1, width), len(masks))
+    # Groups of 8 gates: word i of a group holds byte i of the 8 masks, the
+    # group's last gate in the low byte.  Transposing its bit matrix leaves
+    # in byte b the pattern byte of input 8i + b, first gate in the high bit.
+    width = (count + 7) >> 3
+    nbytes = (total + 7) >> 3
+    masks += [0] * (-count % 8)
+    # each stage frees the one before it and the swaps work in place, so at
+    # most three arrays of the rows' size are alive at once
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    del masks
+    words = raw.reshape(width, 8, nbytes)[:, ::-1].transpose(0, 2, 1).copy().view("<u8")
+    del raw
+    t = np.empty_like(words)
+    for m, s in _TRANSPOSE8:
+        np.right_shift(words, s, out=t)
+        t ^= words
+        t &= m
+        words ^= t
+        t <<= s
+        words ^= t
+    del t
+    rows = words.view(np.uint8).reshape(width, -1)[:, :total].T.copy()
+    del words  # freed before np.unique builds its table of the rows
+    # equal-width byte strings order as memcmp, which is tuple order here
+    uniq = np.unique(rows.view(f"S{width}"))
+    return Patterns(uniq.view(np.uint8).reshape(-1, width), count)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import CapExceeded, IncompatibleArity, VarOutOfRange
 from .ir import (
@@ -341,8 +342,14 @@ def fanin2_reduce(result: DtCompileResult) -> Circuit:
     ``dt_to_circuit`` the guard literals of an AND come last, so they sit
     deepest (the outermost level's literal at the very bottom) and a false
     guard zeroes the entire comb.  The output is an equivalent FANIN2 circuit
-    with EC <= 2*d^2*(d+1)."""
+    with EC <= 2*d^2*(d+1).  Its gate count, the source's plus len - 2 per
+    wide gate, is priced against GATE_BUDGET before any gate is built."""
     src = result.circuit
+    # a gate of fan-in k > 2 adds k - 2 gates: the sum of k - 2 over every
+    # gate, less the -2 and -1 that fan-ins 0 and 1 put in it
+    fanins = list(map(len, map(itemgetter(1), src.gates)))
+    extra = sum(fanins) - 2 * len(fanins) + 2 * fanins.count(0) + fanins.count(1)
+    check_gate_budget("the fan-in-2 expansion", len(fanins) + extra)
     new = tuple.__new__  # Gate's own constructor is a Python call
     gates: list[Gate] = []
     emit = gates.append

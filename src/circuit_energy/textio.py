@@ -165,43 +165,51 @@ def serialize_netlist(circuit: Circuit, header: list[str] | None = None) -> str:
 # decision trees
 
 
+_VAR_TOKEN = re.compile(r"x(\d+)")
+
+
 def parse_dtree(text: str, num_vars: int | None = None) -> DecisionTree:
+    """Read an s-expression tree with an explicit stack of open nodes, so its
+    depth is not bounded by the recursion limit."""
     body = "\n".join(line for _, line in _meaningful_lines(text))
     tokens = body.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ParseError("empty decision tree")
-    pos = 0
+    pos, end = 0, len(tokens)
     max_var = -1
-
-    def parse_node():
-        nonlocal pos, max_var
-        if pos >= len(tokens):
+    open_nodes: list[list] = []  # [var] or [var, low] of each node being read
+    while True:
+        if pos >= end:
             raise ParseError("unexpected end of decision tree")
         tok = tokens[pos]
         pos += 1
-        if tok in ("0", "1"):
-            return int(tok)
-        if tok != "(":
+        if tok == "(":
+            head = tokens[pos] if pos < end else ""
+            pos += 1
+            m = _VAR_TOKEN.fullmatch(head)
+            if not m:
+                raise ParseError(f"expected a variable token, got {head!r}")
+            var = int(m.group(1))
+            max_var = max(max_var, var)
+            open_nodes.append([var])
+            continue
+        if tok not in ("0", "1"):
             raise ParseError(f"expected '(' or a leaf, got {tok!r}")
-        head = tokens[pos] if pos < len(tokens) else ""
-        pos += 1
-        m = re.fullmatch(r"x(\d+)", head)
-        if not m:
-            raise ParseError(f"expected a variable token, got {head!r}")
-        var = int(m.group(1))
-        max_var = max(max_var, var)
-        low = parse_node()
-        high = parse_node()
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ParseError("missing ')' in decision tree")
-        pos += 1
-        return (var, low, high)
-
-    root = parse_node()
-    if pos != len(tokens):
+        node = int(tok)
+        # hand the finished node up, closing every node it completes
+        while open_nodes and len(open_nodes[-1]) == 2:
+            if pos >= end or tokens[pos] != ")":
+                raise ParseError("missing ')' in decision tree")
+            pos += 1
+            var, low = open_nodes.pop()
+            node = (var, low, node)
+        if not open_nodes:
+            break
+        open_nodes[-1].append(node)
+    if pos != end:
         raise ParseError("trailing tokens after decision tree")
     n = num_vars if num_vars is not None else max_var + 1
-    return DecisionTree(n, root)
+    return DecisionTree(n, node)
 
 
 def serialize_dtree(tree: DecisionTree) -> str:

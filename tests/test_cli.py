@@ -305,10 +305,11 @@ def test_python_m_replays_a_witness():
 
 
 @pytest.mark.parametrize("verb", ["dt2circuit", "fanin2"])
-@pytest.mark.parametrize("depth", [600, 900])
+@pytest.mark.parametrize("depth", [600, 900, 1200])
 def test_deep_chain_tree_exits_2(verb, depth):
     # (x0 (x1 ... (x{d-1} 0 1) ...) 1): a valid reduced tree as deep as it
-    # has variables.  It compiles, and the sweep refuses its n in one line.
+    # has variables.  It parses, and its n is refused in one line before
+    # anything is compiled.
     text = f"(x{depth - 1} 0 1)"
     for v in reversed(range(depth - 1)):
         text = f"(x{v} {text} 1)"

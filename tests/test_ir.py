@@ -78,6 +78,39 @@ def test_fanin_cap_enforced():
     assert Circuit(3, gates, 3, bounded(3)).max_fanin() == 3
 
 
+def _max_fanin_by_kind(c):
+    """The kind-by-kind definition: AND/OR fan-in, 1 for a NOT, else 0."""
+    best = 0
+    for g in c.gates:
+        if g.kind in (AND, OR):
+            best = max(best, len(g.children))
+        elif g.kind == NOT:
+            best = max(best, 1)
+    return best
+
+
+def test_max_fanin_matches_the_kind_by_kind_definition():
+    from circuit_energy.corpus import DTREE, SHAPES, GenSpec, generate
+    from circuit_energy.synth import dt_to_circuit, fanin2_reduce
+
+    cases = [fixture(name) for name in (
+        "parity3_dnf", "and_tree(5)", "or_tree(2)", "addr(2)", "cascade_tap(3,5)")]
+    cases += [mk([input_gate(0)], 0, n=1), mk([const_gate(1)], 0, n=0),
+              mk([input_gate(0), not_gate(0)], 1, n=1)]
+    cases += [
+        generate(GenSpec(seed=s, num_vars=6, size_budget=6, neg_density=0.3, shape=shape,
+                         fanin_mode=mode))
+        for s in range(8) for shape in SHAPES if shape != DTREE for mode in (FANIN2, UNBOUNDED)
+    ]
+    for s in range(8):
+        res = dt_to_circuit(generate(GenSpec(seed=s, num_vars=8, size_budget=6, shape=DTREE)))
+        cases += [res.circuit, fanin2_reduce(res)]
+    values = {c.max_fanin() for c in cases}
+    assert {0, 1, 2}.issubset(values) and max(values) > 2
+    for c in cases:
+        assert c.max_fanin() == _max_fanin_by_kind(c), c
+
+
 def test_fanin_parameter_is_the_mode_limit_or_the_actual_fanin():
     gates = [input_gate(0), input_gate(1), input_gate(2), Gate(AND, (0, 1, 2))]
     assert Circuit(3, gates, 3, bounded(5)).fanin_parameter() == 5
@@ -189,6 +222,18 @@ def test_decision_tree_validation():
         DecisionTree(1, (1, 0, 1))
     with pytest.raises(ParseError):
         DecisionTree(1, (0, 2, 1))  # leaf must be 0/1
+
+
+def test_decision_tree_validation_takes_deep_trees():
+    root = 1
+    for v in reversed(range(3000)):
+        root = (v, root, 0)
+    DecisionTree(3000, root)
+    bad = (2999, 0, 1)
+    for v in reversed(range(3000)):
+        bad = (v, 0, bad)  # x2999 repeats at the bottom of the high path
+    with pytest.raises(VarOutOfRange, match="x2999 repeats along a path"):
+        DecisionTree(3000, bad)
 
 
 def test_decision_tree_evaluate_and_depth():

@@ -25,7 +25,7 @@ from circuit_energy import (
 )
 from circuit_energy.corpus import CIRCUIT, MONOTONE, GenSpec, fixture, generate
 from circuit_energy.formulas import readonce_leafneg_energy
-from circuit_energy.ir import INPUT, NOT, OP_KINDS
+from circuit_energy.ir import AND, CONST, INPUT, NOT, OP_KINDS, OR, Circuit, Gate
 from circuit_energy.semantics import BLOCK_VARS, count_planes, max_firing
 from circuit_energy.synth import dt_to_circuit, minterm_cascade
 from circuit_energy.textio import parse_netlist
@@ -383,6 +383,53 @@ def test_firing_patterns_and2():
 def test_firing_patterns_cover_inputs_without_gates():
     c = parse_netlist("INPUT x0\nOUTPUT x0\n")
     assert firing_patterns(c) == [()]
+
+
+def _patterns_ref(c):
+    """Sorted distinct tuples of non-input gate values, read off gate_masks."""
+    masks = [m for g, m in zip(c.gates, gate_masks(c)) if g.kind != INPUT]
+    return sorted({tuple((m >> j) & 1 for m in masks) for j in range(1 << c.num_vars)})
+
+
+def _check_patterns(c):
+    pats, want = firing_patterns(c), _patterns_ref(c)
+    assert list(pats) == want and pats.width == len(want[0])
+    # rows are big-endian packed, zero-padded and contiguous
+    packed = np.packbits(np.array(want, dtype=np.uint8).reshape(len(want), -1), axis=1)
+    assert pats.rows.flags.c_contiguous and pats.rows.tobytes() == packed.tobytes()
+    return want
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 63, 64, 65])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_firing_patterns_pack_any_gate_count(n, count):
+    # fewer than 8 inputs leave part of a mask byte unused, and the gate
+    # counts fall on both sides of the 8-gate groups and 64-bit words
+    rng = random.Random(100 * n + count)
+    gates = [Gate(INPUT, (), v) for v in range(n)]
+    for _ in range(count):
+        kind = rng.choice([CONST, NOT, AND, OR] if gates else [CONST])
+        if kind == CONST:
+            gates.append(Gate(CONST, (), rng.randint(0, 1)))
+        else:
+            k = 1 if kind == NOT else rng.randint(2, 3)
+            gates.append(Gate(kind, tuple(rng.randrange(len(gates)) for _ in range(k))))
+    _check_patterns(Circuit(n, gates, len(gates) - 1))
+
+
+def test_firing_patterns_keep_trailing_zero_bytes():
+    # byte strings compare with their trailing NUL bytes: rows that differ
+    # only in a last byte of 0x00 against 0x80 stay two rows, in order, and
+    # the all-zero row is kept
+    head = "INPUT x0\nINPUT x1\n" + "".join(f"z{k} = CONST 0\n" for k in range(8))
+    c = parse_netlist(head + "a = AND x0 x1\nOUTPUT a\n")
+    assert _check_patterns(c) == [(0,) * 9, (0,) * 8 + (1,)]
+    tail = "".join(f"t{k} = CONST 0\n" for k in range(8))
+    c = parse_netlist(head + "a = AND x0 x1\n" + tail + "OUTPUT a\n")
+    assert _check_patterns(c) == [(0,) * 17, (0,) * 8 + (1,) + (0,) * 8]
+    c = parse_netlist("INPUT x0\n" + "".join(f"o{k} = OR x0 x0\n" for k in range(8))
+                      + tail + "OUTPUT o0\n")
+    assert _check_patterns(c) == [(0,) * 16, (1,) * 8 + (0,) * 8]
 
 
 def test_firing_patterns_stay_packed():

@@ -197,6 +197,19 @@ def test_fanin2_on_random_trees():
         assert truth_table(c2) == tree_tt(6, tree.root)
 
 
+def test_fanin2_reduce_prices_its_output_first(monkeypatch):
+    import circuit_energy.synth as synth
+
+    res = dt_to_circuit(DecisionTree(4, (0, (1, (2, 0, 1), (3, 1, 0)), (2, (3, 0, 1), 1))))
+    size = len(fanin2_reduce(res).gates)
+    assert size > len(res.circuit.gates)  # the tree has wide ANDs
+    monkeypatch.setattr(synth, "GATE_BUDGET", size)
+    assert len(fanin2_reduce(res).gates) == size
+    monkeypatch.setattr(synth, "GATE_BUDGET", size - 1)
+    with pytest.raises(CapExceeded, match=f"at least {size} gates"):
+        fanin2_reduce(res)
+
+
 def test_compiled_sizes_on_a_corpus_slice():
     # every 1009th tree of the exhaustive n=4 corpus plus 100 seeded n=8
     # trees: pins the gate and negation counts of both compilers

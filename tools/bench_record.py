@@ -5,13 +5,15 @@
 
 For every workload of ``perfbench`` and every seed 1..k, each checkout runs
 ``perfbench/run.py --trace 0`` in turn (the order alternates from seed to
-seed, so slow drift of a shared host weighs on both sides alike), then one
-``--trace 1`` run per workload at seed 1.  Every run lasts the benchmark's
-own ``run_seconds``.  The file holds the machine and each checkout's commit;
-per workload the median, interquartile range and per-seed values (in seed
-order, so that seed s of one checkout pairs with seed s of another) of every
-end-to-end metric, rescaled as ``run.py`` reports it beside unscaled; the
-calibration medians of the runs; and the traced per-layer ``self_s``.
+seed, so slow drift of a shared host weighs on both sides alike), then
+``--trace 1`` at seeds 1..3, alternating the same way.  Every run lasts the
+benchmark's own ``run_seconds``.  The file holds the machine and each
+checkout's commit; per workload the median, interquartile range and per-seed
+values (in seed order, so that seed s of one checkout pairs with seed s of
+another) of every end-to-end metric, rescaled as ``run.py`` reports it
+beside unscaled; the calibration medians of the runs; and the same three
+figures of every traced per-layer ``self_s``, since one traced cycle alone
+can move by a quarter on unchanged code.
 ``run.py`` itself is run unchanged from each checkout.  Before the
 workloads, each checkout runs ``python -m circuit_energy verify-all --level
 full --json`` once, in the reverse of seed 1's order; the file keeps each
@@ -34,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("dtree-compile", "wide-sweep", "small-certify")
 END_TO_END = ("throughput_inst_s", "latency_ms_p50", "latency_ms_tail", "setup_s", "peak_rss_mb")
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+TRACED_SEEDS = 3  # --trace 1 runs per workload and checkout
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -84,9 +87,12 @@ def summarize(records: list[dict]) -> dict:
     }
 
 
-def self_times(record: dict) -> dict:
-    return {name: m["value"] for name, m in record["result"]["metrics"].items()
-            if name.endswith(".self_s")}
+def self_times(records: list[dict]) -> dict:
+    """Median, interquartile range and per-seed values of every per-layer
+    ``self_s`` over the ``--trace 1`` records of one checkout."""
+    names = [name for name in records[0]["result"]["metrics"] if name.endswith(".self_s")]
+    return {name: spread([r["result"]["metrics"][name]["value"] for r in records])
+            for name in names}
 
 
 def main(argv=None) -> int:
@@ -109,21 +115,19 @@ def main(argv=None) -> int:
         print(f"verify-all {label}", file=sys.stderr, flush=True)
         verify[label] = verify_all(path)
     plain = {label: {w: [] for w in WORKLOADS} for label, _ in sides}
-    traced = {}
+    traced = {label: {w: [] for w in WORKLOADS} for label, _ in sides}
     for w in WORKLOADS:
-        for seed in range(1, args.seeds + 1):
-            order = sides if seed % 2 else sides[::-1]
-            for label, path in order:
-                print(f"{w} seed={seed} {label}", file=sys.stderr, flush=True)
-                plain[label][w].append(run(path, w, seed, 0))
-        for label, path in sides:
-            print(f"{w} traced {label}", file=sys.stderr, flush=True)
-            traced[label, w] = run(path, w, 1, 1)
+        for trace, seeds, records in ((0, args.seeds, plain), (1, TRACED_SEEDS, traced)):
+            for seed in range(1, seeds + 1):
+                order = sides if seed % 2 else sides[::-1]
+                for label, path in order:
+                    print(f"{w} seed={seed} trace={trace} {label}", file=sys.stderr, flush=True)
+                    records[label][w].append(run(path, w, seed, trace))
 
     first = plain[sides[0][0]][WORKLOADS[0]][0]["machine"]
     doc = {
         "what": "perfbench/run.py end-to-end runs (--trace 0) over seeds 1..k per workload, "
-                "checkouts alternating, plus one --trace 1 run per workload at seed 1, "
+                f"checkouts alternating, plus --trace 1 runs at seeds 1..{TRACED_SEEDS}, "
                 "and one `verify-all --level full --json` run per checkout",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} "
                    "--trace T",
@@ -135,7 +139,7 @@ def main(argv=None) -> int:
                 "commit": plain[label][WORKLOADS[0]][0]["machine"]["commit"],
                 "verify_all_full": verify[label],
                 "workloads": {w: {**summarize(plain[label][w]),
-                                  "traced_self_s": self_times(traced[label, w])}
+                                  "traced_self_s": self_times(traced[label][w])}
                               for w in WORKLOADS},
             }
             for label, _ in sides
