@@ -69,6 +69,11 @@ def _check_budget(shape: str, num_vars: int, size: int) -> None:
     check_gate_budget(
         f"a {shape} of {num_vars} variables and size {size}", num_vars + size
     )
+    if shape == DTREE:
+        # _gen_dtree branches at three nodes in four, so its node count grows
+        # about as 1.5^depth: price the full tree of the depth it can reach
+        depth = min(num_vars, size)
+        check_gate_budget(f"a full decision tree of depth {depth}", (2 << depth) - 1)
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -22,6 +22,7 @@ from .ir import (
     and_gate,
     const_formula,
     copy_subformula,
+    fold,
     or_gate,
     replace_subformula,
     structural_stats,
@@ -80,8 +81,11 @@ def decompose_gk(formula: Formula) -> DecompositionResult:
     at their lowest common ancestor is split out by expanding the (monotone)
     context F2 around it:  F = F2[z := F1] = F2|z=0  OR  (F2|z=1 AND F1).
     Both restrictions are negation-free, so they become blocks, and the
-    recursion continues inside F1, whose root is a NOT or has two
-    negation-carrying children.
+    decomposition continues inside F1, whose root is a NOT or has two
+    negation-carrying children.  This is one ``fold`` over the gates: a
+    negation-free gate is a leaf and becomes a block, a split gate's one
+    child is its LCA (its two context blocks are built when it is expanded,
+    before F1), and any other gate keeps its kind over its parts.
     """
     src = formula.gates
     negs = [0] * len(src)  # NOT gates in the subformula at each gate
@@ -90,6 +94,7 @@ def decompose_gk(formula: Formula) -> DecompositionResult:
     gates: list[Gate] = []
     blocks: list[tuple[int, int]] = []
     zero, one = const_formula(0), const_formula(1)
+    contexts: dict[int, tuple[int, int]] = {}  # split gate -> its two blocks
 
     def block(root: int, swap_at: int = -1, swap_in: Formula | None = None) -> int:
         start = len(gates)
@@ -97,41 +102,32 @@ def decompose_gk(formula: Formula) -> DecompositionResult:
         blocks.append((start, out))
         return out
 
-    # an explicit stack of tasks, so deep formulas do not hit the recursion
-    # limit: (SPLIT, gate, _) decomposes the subformula at a gate;
-    # (JOIN, kind, k) puts a gate over the last k parts; (GLUE, ctx0, ctx1)
-    # builds ctx0 OR (ctx1 AND F1) around the last part F1
-    SPLIT, JOIN, GLUE = range(3)
-    done: list[int] = []  # ids in ``gates`` of the parts built so far
-    stack = [(SPLIT, formula.output, 0)]
-    while stack:
-        task, a, b = stack.pop()
-        if task == JOIN:
-            gates.append(Gate(a, tuple(done[-b:])))
-            del done[-b:]
-        elif task == GLUE:
-            gates.append(and_gate(b, done.pop()))
-            gates.append(or_gate(a, len(gates) - 1))
-        elif negs[a] == 0:
-            block(a)
-        else:
-            lca = a
-            while src[lca].kind != NOT:
-                negged = [c for c in src[lca].children if negs[c]]
-                if len(negged) != 1:
-                    break
-                lca = negged[0]
-            if lca == a:
-                kids = src[a].children
-                stack.append((JOIN, src[a].kind, len(kids)))
-                stack.extend((SPLIT, c, 0) for c in reversed(kids))
-            else:
-                stack.append((GLUE, block(a, lca, zero), block(a, lca, one)))
-                stack.append((SPLIT, lca, 0))
-            continue
-        done.append(len(gates) - 1)
+    def expand(a: int):
+        if negs[a] == 0:
+            return ()
+        lca = a
+        while src[lca].kind != NOT:
+            negged = [c for c in src[lca].children if negs[c]]
+            if len(negged) != 1:
+                break
+            lca = negged[0]
+        if lca == a:
+            return src[a].children
+        contexts[a] = block(a, lca, zero), block(a, lca, one)
+        return (lca,)
 
-    out = done[0]
+    def join(a: int, parts: list[int]) -> int:
+        if not parts:
+            return block(a)
+        if a in contexts:
+            ctx0, ctx1 = contexts[a]
+            gates.append(and_gate(ctx1, parts[0]))
+            gates.append(or_gate(ctx0, len(gates) - 1))
+        else:
+            gates.append(Gate(src[a].kind, tuple(parts)))
+        return len(gates) - 1
+
+    out = fold(formula.output, expand, join)
     f_prime = Formula(formula.num_vars, gates, out, UNBOUNDED, validate=False)
     in_block = set()
     for start, end in blocks:

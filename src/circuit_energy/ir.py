@@ -5,8 +5,13 @@ A circuit is a topologically ordered list of gates over the basis
 and equal the gate's position in the list; children always point backwards.
 Evaluation-order things (energy, truth tables) live in ``semantics``; this
 module owns the data model, validation, and structural surgery
-(restrict / structural_stats, and for formulas one post-order copy kernel,
+(restrict / structural_stats, and for formulas one copy kernel,
 ``copy_subformula``, behind replace_subformula / substitute_leaf).
+
+Every tree walk of the package is one call of ``fold``, a post-order fold on
+an explicit stack: the formula copy, the tuple syntax, the GK decomposition,
+and the depth, text, truth table and compiled circuit of a decision tree.  So
+no formula or tree is too deep for Python's recursion limit.
 
 Conventions used throughout the package:
 
@@ -337,6 +342,39 @@ def structural_stats(circuit: Circuit) -> StructuralStats:
 
 
 # --------------------------------------------------------------------------
+# the tree walk
+
+
+def fold(root, expand, join):
+    """Fold the tree at ``root`` bottom-up on an explicit stack.
+
+    ``expand(node)`` returns the node's children; a node with none is a
+    leaf.  It runs in pre-order, and the first child's whole subtree is
+    folded before the second child is expanded, so side effects happen in
+    the order of a recursive walk.  ``join(node, values)`` runs in
+    post-order on the values of the node's children, in child order (the
+    empty result of ``expand`` for a leaf), and returns the node's value.
+    Returns the value of ``root``.
+    """
+    top: list = []  # receives the value of root
+    stack = [(root, top, None)]  # (node, list its value goes to, child values)
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, dest, values = pop()
+        if values is None:
+            kids = expand(node)
+            if kids:
+                values = []
+                push((node, dest, values))
+                for kid in reversed(kids):
+                    push((kid, values, None))
+                continue
+            values = kids
+        dest.append(join(node, values))
+    return top[0]
+
+
+# --------------------------------------------------------------------------
 # restriction (with constant folding) and leaf substitution
 
 
@@ -423,28 +461,22 @@ def copy_subformula(
     subformula at ``swap_at``, if met, is replaced by a copy of ``swap_in``.
 
     This is the one kernel for formula surgery: restriction, the GK blocks
-    and leaf substitution all copy through it.  It walks an explicit stack,
-    so the depth of a formula is not bounded by Python's recursion limit.
+    and leaf substitution all copy through it, as one ``fold`` over the gate
+    ids.  The copy of ``swap_in`` is the one nested call, and it swaps nothing.
     """
-    done: list[int] = []  # new ids of the subformulas copied so far
-    stack = [root]  # a gate id to copy, or ~gid once its children are copied
-    while stack:
-        gid = stack.pop()
-        if gid < 0:
-            g = gates[~gid]
-            k = len(g.children)
-            out.append(Gate(g.kind, tuple(done[-k:])))
-            del done[-k:]
-        elif gid == swap_at:
-            copy_subformula(out, swap_in.gates, swap_in.output)
-        elif gates[gid].children:
-            stack.append(~gid)
-            stack += gates[gid].children[::-1]
-            continue
-        else:
-            out.append(gates[gid])
-        done.append(len(out) - 1)
-    return done[0]
+    new = tuple.__new__  # Gate's own constructor is a Python call
+
+    def expand(gid: int):
+        return () if gid == swap_at else gates[gid].children
+
+    def join(gid: int, kids: list[int]) -> int:
+        if gid == swap_at:
+            return copy_subformula(out, swap_in.gates, swap_in.output)
+        g = gates[gid]
+        out.append(new(Gate, (g.kind, tuple(kids), 0)) if kids else g)
+        return len(out) - 1
+
+    return fold(root, expand, join)
 
 
 def const_formula(bit: int) -> Formula:
@@ -491,27 +523,27 @@ _TREE_KINDS = {"not": NOT, "and": AND, "or": OR}
 
 def formula_from_tree(tree, num_vars: int, fanin_mode: FaninMode = UNBOUNDED) -> Formula:
     gates: list[Gate] = []
-    done: list[int] = []  # ids of the subtrees built so far
-    stack: list = [(tree, None)]  # (subtree, None) to build, (kind, k) to join
-    while stack:
-        t, k = stack.pop()
-        if k is not None:  # a gate of kind t over the k subtrees built last
-            cut = len(done) - k
-            gates.append(Gate(t, tuple(done[cut:])))
-            del done[cut:]
-        elif t[0] == "var":
+
+    def expand(t):
+        if t[0] in ("var", "const"):
+            return ()
+        if t[0] == "not":
+            return (t[1],)
+        if t[0] in _TREE_KINDS:
+            return t[1]
+        raise ValueError(f"bad tree node {t!r}")
+
+    def join(t, kids: list[int]) -> int:
+        if t[0] == "var":
             gates.append(input_gate(t[1]))
         elif t[0] == "const":
             gates.append(const_gate(t[1]))
-        elif t[0] in _TREE_KINDS:
-            kids = [t[1]] if t[0] == "not" else list(t[1])
-            stack.append((_TREE_KINDS[t[0]], len(kids)))
-            stack.extend((c, None) for c in reversed(kids))
-            continue
         else:
-            raise ValueError(f"bad tree node {t!r}")
-        done.append(len(gates) - 1)
-    return Formula(num_vars, gates, done[0], fanin_mode, validate=False)
+            gates.append(Gate(_TREE_KINDS[t[0]], tuple(kids)))
+        return len(gates) - 1
+
+    out = fold(tree, expand, join)
+    return Formula(num_vars, gates, out, fanin_mode, validate=False)
 
 
 # --------------------------------------------------------------------------
@@ -570,7 +602,11 @@ class DecisionTree:
         return f"DecisionTree(n={self.num_vars}, depth={self.depth()})"
 
 
+def dt_children(node: DTNode) -> tuple:
+    """The two branches of a decision-tree node, or () for a leaf: the
+    ``expand`` of every ``fold`` over a decision tree."""
+    return () if isinstance(node, int) else node[1:]
+
+
 def dt_depth_of(node: DTNode) -> int:
-    if isinstance(node, int):
-        return 0
-    return 1 + max(dt_depth_of(node[1]), dt_depth_of(node[2]))
+    return fold(node, dt_children, lambda _, depths: 1 + max(depths) if depths else 0)

@@ -32,6 +32,7 @@ from .ir import (
     and_gate,
     bounded,
     const_gate,
+    fold,
     input_gate,
     not_gate,
     or_gate,
@@ -270,6 +271,14 @@ def connector_merge(c0: Circuit, c1: Circuit, i: int) -> Circuit:
 # decision tree -> circuit
 
 
+def _compiled_branches(t) -> tuple:
+    """The branches ``dt_to_circuit`` compiles a node from: none for a leaf
+    or a node whose branches are both leaves, else (low, high)."""
+    if isinstance(t, int) or isinstance(t[1], int) and isinstance(t[2], int):
+        return ()
+    return t[1:]
+
+
 @dataclass(slots=True)
 class DtCompileResult:
     circuit: Circuit  # UNBOUNDED mode; every AND ends with its guard literals
@@ -281,12 +290,14 @@ def dt_to_circuit(tree: DecisionTree) -> DtCompileResult:
     AND fan-in <= depth+2, no OR fed by a literal, negs <= depth, and
     EC <= 2*depth^2.
 
-    Recursion: a depth-d node on x_v becomes OR(L0, L1).  A constant-0 branch
-    feeds the OR as CONST 0; a constant-1 or literal branch is wrapped as
-    (branch AND guard); a deeper branch contributes its own OR top directly
-    after (a) selector steps that pair up and eliminate negations across the
-    two branches and (b) injection of the branch literal into every AND the
-    branch brought along (this level's selector ANDs already carry x_v).
+    One ``fold`` over the tree, bottom-up: a depth-d node on x_v becomes
+    OR(L0, L1).  A constant-0 branch feeds the OR as CONST 0; a constant-1
+    or literal branch is wrapped as (branch AND guard); a deeper branch
+    contributes its own OR top directly after (a) selector steps that pair
+    up and eliminate negations across the two branches and (b) injection of
+    the branch literal into every AND the branch brought along (this level's
+    selector ANDs already carry x_v).  A node whose branches are both leaves
+    is a leaf of the fold.  The same fold measures the tree's depth.
 
     Guard-tail invariant: wrapping and injection both append the guard, so
     the children of every AND end with its guard literals, innermost level
@@ -294,23 +305,24 @@ def dt_to_circuit(tree: DecisionTree) -> DtCompileResult:
     consumed the literal there.
     """
     tab = _Table(tree.num_vars)
-    rows = tab.rows
+    rows, add = tab.rows, tab.add
 
-    def build(t) -> tuple[int, list[int], list[int]]:
-        """(root row, live NOT rows in pairing order, AND rows) of subtree t."""
-        if isinstance(t, int):
-            return tab.add(CONST, arg=t), [], []
-        var, lo, hi = t
-        if isinstance(lo, int) and isinstance(hi, int):
+    def join(t, built) -> tuple[int, list[int], list[int], int]:
+        """(root row, live NOT rows in pairing order, AND rows, depth) of
+        subtree t."""
+        if not built:
+            if isinstance(t, int):
+                return add(CONST, arg=t), [], [], 0
+            var, lo, hi = t
             if lo == hi:
-                return tab.add(CONST, arg=lo), [], []
+                return add(CONST, arg=lo), [], [], 1
             if (lo, hi) == (0, 1):
-                return var, [], []
-            r = tab.add(NOT, [var])
-            return r, [r], []
-        r0, nots0, ands0 = build(lo)
-        r1, nots1, ands1 = build(hi)
-        not_x = tab.add(NOT, [var])
+                return var, [], [], 1
+            r = add(NOT, [var])
+            return r, [r], [], 1
+        var = t[0]
+        (r0, nots0, ands0, d0), (r1, nots1, ands1, d1) = built
+        not_x = add(NOT, [var])
         sel_ands = tab.merge_nots(nots0, nots1, var, not_x)
         legs: list[int] = []
         for r, ands, guard in ((r0, ands0, not_x), (tab.find(r1), ands1, var)):
@@ -319,17 +331,17 @@ def dt_to_circuit(tree: DecisionTree) -> DtCompileResult:
                 for a in ands:
                     rows[a][1].append(guard)
             elif kind != CONST or arg:  # literal, selector or CONST 1
-                r = tab.add(AND, [r, guard])
+                r = add(AND, [r, guard])
                 ands.append(r)
             legs.append(r)
         # ~x_v is live once a selector or an AND on the low side holds it
         nots = [not_x] if sel_ands or ands0 else []
         nots += nots0
         nots += nots1[len(sel_ands) // 2 :]
-        return tab.add(OR, legs), nots, ands0 + ands1 + sel_ands
+        return add(OR, legs), nots, ands0 + ands1 + sel_ands, 1 + max(d0, d1)
 
-    root, _, _ = build(tree.root)
-    return DtCompileResult(tab.lay_out(root, UNBOUNDED), tree.depth())
+    root, _, _, depth = fold(tree.root, _compiled_branches, join)
+    return DtCompileResult(tab.lay_out(root, UNBOUNDED), depth)
 
 
 # --------------------------------------------------------------------------

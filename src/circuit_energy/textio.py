@@ -46,6 +46,8 @@ from .ir import (
     FaninMode,
     Formula,
     Gate,
+    dt_children,
+    fold,
 )
 from .semantics import TruthTable
 
@@ -213,13 +215,12 @@ def parse_dtree(text: str, num_vars: int | None = None) -> DecisionTree:
 
 
 def serialize_dtree(tree: DecisionTree) -> str:
-    def render(node) -> str:
-        if isinstance(node, int):
+    def render(node, branches: list[str]) -> str:
+        if not branches:
             return str(node)
-        var, low, high = node
-        return f"(x{var} {render(low)} {render(high)})"
+        return f"(x{node[0]} {branches[0]} {branches[1]})"
 
-    return render(tree.root) + "\n"
+    return fold(tree.root, dt_children, render) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -62,6 +62,7 @@ from .ir import (
     Gate,
     bounded,
     dt_depth_of,
+    fold,
     not_gate,
     restrict,
     structural_stats,
@@ -167,18 +168,24 @@ def _point(x: int, n: int) -> tuple[int, ...]:
 def _dt_bits(node, n: int, memo: dict) -> int:
     """Truth table bits of a decision-tree node, memoized structurally (the
     corpus shares subtrees heavily, and id()-keyed caching would go stale as
-    enumerated root tuples are garbage collected and their ids recycled)."""
+    enumerated root tuples are garbage collected and their ids recycled).
+    A node already in the memo is a leaf of the fold."""
     full = (1 << (1 << n)) - 1
-    if isinstance(node, int):
-        return full if node else 0
-    got = memo.get(node)
-    if got is not None:
-        return got
-    v, lo, hi = node
-    mv = var_masks(n)[v]
-    out = ((full ^ mv) & _dt_bits(lo, n, memo)) | (mv & _dt_bits(hi, n, memo))
-    memo[node] = out
-    return out
+    masks = var_masks(n)
+
+    def expand(t):
+        return () if isinstance(t, int) or t in memo else t[1:]
+
+    def join(t, branches: list[int]) -> int:
+        if isinstance(t, int):
+            return full if t else 0
+        if not branches:
+            return memo[t]
+        mv = masks[t[0]]
+        out = memo[t] = ((full ^ mv) & branches[0]) | (mv & branches[1])
+        return out
+
+    return fold(node, expand, join)
 
 
 def _all_reduced_trees(num_vars: int, depth: int):

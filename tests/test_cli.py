@@ -257,6 +257,19 @@ def test_gen_rejects_sizes_it_cannot_build(args, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_gen_prices_a_dtree_at_its_full_depth(capsys):
+    # the generator branches at three nodes in four, so n = size = 40 could
+    # draw about 1.5^40 nodes; the full tree of depth 40 is priced first
+    args = ["gen", "--seed", "2", "--num-vars", "40", "--size", "40", "--shape", "DTREE"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a full decision tree of depth 40 would build at least "
+        "2199023255551 gates, over the 1048576 budget\n"
+    )
+
+
 def test_closed_stdout_is_not_a_crash():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,12 @@ from circuit_energy import (
     restriction_energy_check,
 )
 from circuit_energy.corpus import GenSpec, generate, generate_nonskew
-from circuit_energy.ir import structural_stats
+from circuit_energy.ir import (
+    const_formula,
+    replace_subformula,
+    structural_stats,
+    substitute_leaf,
+)
 from circuit_energy.textio import serialize_netlist
 from sweep_ref import energies
 
@@ -165,6 +172,45 @@ def test_decomposition_of_negation_free_formula_is_one_block():
     assert res.block_count == 1
     assert res.skeleton_gates == ()
     assert equivalent(res.f_prime, f)
+
+
+def test_formula_surgery_is_pinned_byte_for_byte():
+    # 2 000 seeded FORMULA gate lists with their decompositions (f', blocks,
+    # skeleton), a restriction and a leaf substitution at seeded cuts, then
+    # 300 READONCE_LEAFNEG formulas with their decompositions and 300 NONSKEW
+    # formulas: pins the gate order of every formula builder and copy
+    h = hashlib.sha256()
+
+    def pin(f):
+        h.update(serialize_netlist(f).encode())
+
+    def pin_decomposition(f):
+        res = decompose_gk(f)
+        pin(res.f_prime)
+        h.update(repr((res.blocks, res.skeleton_gates, res.block_count)).encode())
+
+    sub = F(("or", [("var", 2), ("not", ("var", 0))]), 3)
+    cuts = 0
+    for s in range(2000):
+        f = generate(GenSpec(seed=s, num_vars=1 + s % 8, size_budget=1 + s % 24,
+                             neg_density=(s % 5) / 8, shape="FORMULA"))
+        pin(f)
+        pin_decomposition(f)
+        cut = (s * 7919) % len(f.gates)
+        if cut != f.output:
+            pin(replace_subformula(f, cut, const_formula(s % 2)))
+            cuts += 1
+        leaves = [gid for gid, g in enumerate(f.gates) if g.kind == INPUT]
+        pin(substitute_leaf(f, leaves[s % len(leaves)], sub))
+    for s in range(300):
+        n = 1 + s % 12
+        f = generate(GenSpec(seed=s, num_vars=n, size_budget=1 + s % n,
+                             neg_density=(s % 3) / 4, shape="READONCE_LEAFNEG"))
+        pin(f)
+        pin_decomposition(f)
+        pin(generate_nonskew(s, 1 + s % 10, 1 + s % 30))
+    assert cuts == 1760
+    assert h.hexdigest() == "bb9934ed272d3a8008533bb6573df5c6c90fee642e1675c7133747ed2e5a242c"
 
 
 # --------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from circuit_energy import (
     truth_table,
 )
 from circuit_energy.corpus import fixture
+from circuit_energy.ir import fold
 
 
 def mk(gates, out, n=2, mode=UNBOUNDED):
@@ -241,3 +242,32 @@ def test_decision_tree_evaluate_and_depth():
     assert [t.evaluate((a, b)) for a, b in [(0, 0), (1, 0), (0, 1), (1, 1)]] == [0, 0, 0, 1]
     assert t.depth() == 2
     assert dt_depth_of(t.root) == 2
+
+
+def test_fold_expands_in_pre_order_and_joins_in_post_order():
+    tree = ("a", [("b", [("d", [])]), ("c", [])])
+    events = []
+
+    def expand(t):
+        events.append("expand " + t[0])
+        return t[1]
+
+    def join(t, values):
+        events.append("join " + t[0])
+        return t[0] + "(" + ",".join(values) + ")"
+
+    assert fold(tree, expand, join) == "a(b(d()),c())"
+    assert events == [
+        "expand a", "expand b", "expand d", "join d", "join b",
+        "expand c", "join c", "join a",
+    ]
+
+
+def test_deep_tree_depth_and_repr():
+    # (x0 (x1 ... (x1199 0 1) ... 1) 1), above the default recursion limit
+    root = (1199, 0, 1)
+    for v in reversed(range(1199)):
+        root = (v, root, 1)
+    t = DecisionTree(1200, root)
+    assert dt_depth_of(t.root) == t.depth() == 1200
+    assert repr(t) == "DecisionTree(n=1200, depth=1200)"

@@ -26,7 +26,7 @@ from circuit_energy import (
 from circuit_energy.corpus import GenSpec, generate
 from circuit_energy.ir import structural_stats
 from circuit_energy.textio import parse_netlist, serialize_netlist
-from circuit_energy.verify import _all_reduced_trees
+from circuit_energy.verify import _all_reduced_trees, _dt_bits
 
 
 def negs_of(c):
@@ -264,3 +264,32 @@ def test_compiled_netlists_are_pinned_byte_for_byte():
         h.update(serialize_netlist(connector_merge(c0, c1, k % c0.num_vars)).encode())
     assert (len(reduced), len(pairs)) == (406, 134)
     assert h.hexdigest() == "3c8f27cee3ceb4be4e065401e1ec38f7430ca0bbf861d6675e8b82f686b5e1cd"
+
+
+def test_deep_chain_tree_compiles_and_reduces():
+    # (x0 (x1 ... (x1199 0 1) ... 1) 1): 1 200 levels, above the default
+    # recursion limit.  Every AND gathers the guards of the levels above
+    # it, so the fan-in-2 circuit has about d^2/2 gates.
+    d = 1200
+    root = (d - 1, 0, 1)
+    for v in reversed(range(d - 1)):
+        root = (v, root, 1)
+    tree = DecisionTree(d, root)
+    res = dt_to_circuit(tree)
+    c2 = fanin2_reduce(res)
+    assert res.tree_depth == d
+    assert (len(res.circuit.gates), len(c2.gates)) == (5997, 725396)
+    assert negs_of(res.circuit) <= d
+    for ones in [(), (d - 1,), (600,)]:
+        x = tuple(int(v in ones) for v in range(d))
+        assert evaluate(c2, x).value == tree.evaluate(x)
+    assert evaluate(res.circuit, (0,) * d).value == 0
+
+
+def test_dt_bits_matches_the_compiled_circuit():
+    memo = {}
+    for s in range(30):
+        tree = generate(GenSpec(seed=s, num_vars=6, size_budget=5, shape="DTREE"))
+        bits = _dt_bits(tree.root, 6, memo)
+        assert bits == truth_table(dt_to_circuit(tree).circuit).bits
+        assert bits == _dt_bits(tree.root, 6, {})  # the memo changes nothing

@@ -109,6 +109,17 @@ def test_dtree_roundtrip():
     assert parse_dtree(serialize_dtree(t)).root == t.root
 
 
+def test_deep_dtree_roundtrip():
+    # (x0 (x1 ... (x1199 0 1) ... 1) 1), above the default recursion limit
+    text = "(x1199 0 1)"
+    for v in reversed(range(1199)):
+        text = f"(x{v} {text} 1)"
+    t = parse_dtree(text)
+    assert t.num_vars == 1200 and t.depth() == 1200
+    assert serialize_dtree(t) == text + "\n"
+    assert serialize_dtree(parse_dtree(serialize_dtree(t))) == text + "\n"
+
+
 def test_dtree_parse_errors():
     with pytest.raises(ParseError):
         parse_dtree("(x0 0)")
