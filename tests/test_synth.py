@@ -24,7 +24,7 @@ from circuit_energy import (
     truth_table,
 )
 from circuit_energy.corpus import GenSpec, generate
-from circuit_energy.ir import structural_stats
+from circuit_energy.ir import FANIN2, input_gate, not_gate, or_gate, structural_stats
 from circuit_energy.textio import parse_netlist, serialize_netlist
 from circuit_energy.verify import _all_reduced_trees, _dt_bits
 
@@ -266,15 +266,20 @@ def test_compiled_netlists_are_pinned_byte_for_byte():
     assert h.hexdigest() == "3c8f27cee3ceb4be4e065401e1ec38f7430ca0bbf861d6675e8b82f686b5e1cd"
 
 
-def test_deep_chain_tree_compiles_and_reduces():
-    # (x0 (x1 ... (x1199 0 1) ... 1) 1): 1 200 levels, above the default
-    # recursion limit.  Every AND gathers the guards of the levels above
-    # it, so the fan-in-2 circuit has about d^2/2 gates.
-    d = 1200
+def chain_tree(d, high):
+    """(x0 (x1 ... (x{d-1} 0 1) ... high) high): a reduced tree of d levels."""
     root = (d - 1, 0, 1)
     for v in reversed(range(d - 1)):
-        root = (v, root, 1)
-    tree = DecisionTree(d, root)
+        root = (v, root, high)
+    return DecisionTree(d, root)
+
+
+def test_deep_chain_tree_compiles_and_reduces():
+    # 1 200 levels, above the default recursion limit.  Every AND gathers
+    # the guards of the levels above it, so the fan-in-2 circuit has about
+    # d^2/2 gates.
+    d = 1200
+    tree = chain_tree(d, 1)
     res = dt_to_circuit(tree)
     c2 = fanin2_reduce(res)
     assert res.tree_depth == d
@@ -293,3 +298,18 @@ def test_dt_bits_matches_the_compiled_circuit():
         bits = _dt_bits(tree.root, 6, memo)
         assert bits == truth_table(dt_to_circuit(tree).circuit).bits
         assert bits == _dt_bits(tree.root, 6, {})  # the memo changes nothing
+
+
+def test_connector_merge_over_a_deep_side():
+    # side 0 compiles a 1 200-level chain tree that is true only on x1199
+    # alone; side 1 is x0 OR NOT x1
+    d = 1200
+    deep = fanin2_reduce(dt_to_circuit(chain_tree(d, 0)))
+    gates = [input_gate(v) for v in range(d)] + [not_gate(1), or_gate(0, d)]
+    wide = Circuit(d, gates, d + 1, FANIN2)
+    merged = connector_merge(deep, wide, 600)
+    assert negs_of(merged) == 1 + max(negs_of(deep), negs_of(wide))
+    for ones in [(), (d - 1,), (600,), (600, 1), (600, d - 1), (0, d - 1)]:
+        x = tuple(int(v in ones) for v in range(d))
+        side = wide if x[600] else deep
+        assert evaluate(merged, x).value == evaluate(side, x).value
