@@ -19,17 +19,20 @@ carry-save counter adds them into about log2(gates) bit-plane ints, and a
 top-down scan of the planes gives the block's maximum and its first input;
 a later block wins only with a strictly larger maximum.  n <= 16 is one
 block, and the counter reads the kernel's list of op masks as it stands,
-with no second pass over the gates to pick them.  Over several blocks, the
-gates that read only x0..x15 (fixed gates) have the same mask in every
-block: they are swept for block 0 only, and their count, with a constant 1
-per complement pair (a counted NOT over a counted gate, exactly one of
-which fires), is made once and is where each block's counter starts; a
-block sweeps and counts only the other gates.  psens counts the same way
-over masks derived from the truth table.  Truth tables join the output mask
-of each block.  energy_moments reads exact energy sums and sampled
-per-input energies off the same planes, without a per-input array.
-gate_masks, which firing_patterns needs, is the whole-width sweep: one block
-of 2^n, priced against MASK_BUDGET before anything is allocated.
+with no second pass over the gates to pick them.  Over several blocks,
+which run in ascending order, a gate's level is 0 when it reads only
+x0..x15 and n - v otherwise, v the lowest higher variable it reads: its
+mask changes only when one of the top `level` bits of the block index does,
+so a level-l gate is swept 2^l times, level 0 once.  Each level keeps its
+count planes, which start from the level below's; level 0 starts from a
+constant 1 per complement pair (a counted NOT over a counted gate, exactly
+one of which fires).  A block re-counts only the levels it swept.  psens
+counts the same way over masks derived from the truth table.  Truth tables
+join the output mask of each block.  energy_moments reads exact energy
+sums and sampled per-input energies off the same planes, without a
+per-input array.  gate_masks, which firing_patterns needs, is the
+whole-width sweep: one block of 2^n, priced against MASK_BUDGET before
+anything is allocated.
 firing_patterns returns its distinct patterns as sorted packed rows
 (Patterns), which become tuples only as they are read.  It packs the rows
 eight gates at a time, one 8x8 bit transpose per 64-bit word of mask bytes,
@@ -117,28 +120,44 @@ def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int, ops=None
             ops.append(m)
 
 
-def _fixed(circuit: Circuit, ids) -> list[bool]:
-    """Flags, over the gate list, of the gates in ``ids`` (ascending, closed
-    under children) that read no variable >= BLOCK_VARS: an INPUT below it,
-    a CONST, or a gate whose children are all fixed.  Their masks are the
-    same in every block."""
+def _levels(circuit: Circuit, ids) -> list[list[int]]:
+    """The gates ``ids`` (ascending, closed under children) level by level,
+    each level ascending.  A gate that reads no variable >= BLOCK_VARS is at
+    level 0; otherwise it is at level n - v, v the lowest such variable it
+    reads, so a gate is at the highest level of its children.  A level-l
+    gate's mask depends only on the top l bits of the block index."""
+    n = circuit.num_vars
     gates = circuit.gates
-    fixed = [False] * len(gates)
+    level = [0] * len(gates)
+    levels: list[list[int]] = [[] for _ in range(n - BLOCK_VARS + 1)]
     for gid in ids:
         kind, ch, arg = gates[gid]
-        fixed[gid] = arg < BLOCK_VARS if kind == INPUT else all(map(fixed.__getitem__, ch))
-    return fixed
+        if kind == INPUT:
+            lv = n - arg if arg >= BLOCK_VARS else 0
+        else:
+            lv = max(map(level.__getitem__, ch), default=0)
+        level[gid] = lv
+        levels[lv].append(gid)
+    return levels
 
 
-def _blocks(circuit: Circuit, masks: list[int], ids, fixed: list[bool]):
-    """Sweep the gates ``ids`` (ascending, closed under children) over every
-    block of 2^BLOCK_VARS inputs, yielding each block's index once its masks
-    are set.  The gates flagged in ``fixed`` (see _fixed) are swept in block
-    0 only: their masks carry over to every later block."""
-    rest = [gid for gid in ids if not fixed[gid]]
-    for b in range(1 << (circuit.num_vars - BLOCK_VARS)):
-        _sweep(circuit, masks, rest if b else ids, BLOCK_VARS, b)
-        yield b
+def _blocks(circuit: Circuit, masks: list[int], levels: list[list[int]]):
+    """Sweep the gates of ``levels`` (see _levels) over every block of
+    2^BLOCK_VARS inputs in ascending order, yielding ``(b, lo)`` once block
+    b's masks are set, lo the lowest level swept for it.  From block b - 1
+    to b only the low (b ^ (b - 1)).bit_length() bits of b flip, so only the
+    levels from H + 1 minus that up are swept again (H = n - BLOCK_VARS, the
+    top level): a level-l gate is swept 2^l times, the others' masks carry
+    over.  The levels swept together go in one kernel call, merged in
+    ascending order, which keeps every child before its parents."""
+    top = len(levels) - 1
+    tails = [levels[top]]  # tails[top - l]: the levels from l up, merged
+    for level in reversed(levels[:top]):
+        tails.append(sorted(level + tails[-1]))
+    for b in range(1 << top):
+        lo = top + 1 - (b ^ (b - 1)).bit_length() if b else 0
+        _sweep(circuit, masks, tails[top - lo], BLOCK_VARS, b)
+        yield b, lo
 
 
 def gate_masks(circuit: Circuit, cap: int | None = None) -> list[int]:
@@ -173,8 +192,7 @@ class TruthTable:
     def __init__(self, num_vars: int, bits: int) -> None:
         if num_vars < 0:
             raise LengthMismatch(f"numVars must be >= 0, got {num_vars}")
-        full = (1 << (1 << num_vars)) - 1
-        if not 0 <= bits <= full:
+        if bits < 0 or bits.bit_length() > 1 << num_vars:
             raise LengthMismatch(f"table value outside the 2^{1 << num_vars}-bit range")
         self.num_vars = num_vars
         self.bits = bits
@@ -275,9 +293,9 @@ def _cone(circuit: Circuit) -> list[int]:
 
 def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
     """The output's mask.  Over several blocks, the output masks of the
-    blocks are joined, and only the output cone is swept, its fixed gates
-    once; in a single block, finding the cone costs more than the dead gates
-    it would skip."""
+    blocks are joined, and only the output cone is swept, each of its gates
+    once per change of its level (see _blocks); in a single block, finding
+    the cone costs more than the dead gates it would skip."""
     n = circuit.num_vars
     _check_cap(n, cap, EVAL_CAP)
     size = len(circuit.gates)
@@ -285,11 +303,10 @@ def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
     if n <= BLOCK_VARS:
         _sweep(circuit, masks, range(size), n, 0)
         return TruthTable(n, masks[circuit.output])
-    ids = _cone(circuit)
     width = 1 << (BLOCK_VARS - 3)
     parts = [
         masks[circuit.output].to_bytes(width, "little")
-        for _ in _blocks(circuit, masks, ids, _fixed(circuit, ids))
+        for _ in _blocks(circuit, masks, _levels(circuit, _cone(circuit)))
     ]
     return TruthTable(n, int.from_bytes(b"".join(parts), "little"))
 
@@ -403,11 +420,13 @@ def _block_planes(circuit: Circuit, counted):
     """Per block of inputs: its first index, its width 2^k and the count
     planes of the NOT/AND/OR gates that ``counted`` flags (all when None).
 
-    Over several blocks, the count each block's counter starts from is made
-    once: the fixed counted gates (see _fixed), and one per complement pair,
-    a counted NOT over a counted gate, since exactly one of the two fires on
-    every input.  Each gate is paired at most once.  A block then counts only
-    its other gates.
+    Over several blocks, each complement pair, a counted NOT over a counted
+    gate, adds a constant 1, since exactly one of the two fires on every
+    input; each gate is paired at most once.  The other counted gates are
+    counted level by level (see _levels): a level's planes start from the
+    planes of the level below, level 0's from the pairs' constant, and a
+    block re-counts only the levels that _blocks swept for it, so a level's
+    count carries over while its masks do.
     """
     n = circuit.num_vars
     k = min(n, BLOCK_VARS)
@@ -423,7 +442,6 @@ def _block_planes(circuit: Circuit, counted):
     if counted is not None:
         ops = list(compress(ops, counted))
     gates = circuit.gates
-    fixed = _fixed(circuit, range(size))
     single = [False] * size  # counted and not (yet) in a pair
     pairs = 0
     for gid in ops:
@@ -433,14 +451,17 @@ def _block_planes(circuit: Circuit, counted):
             pairs += 1
         else:
             single[gid] = True
-    ops = [gid for gid in ops if single[gid]]
+    levels = _levels(circuit, range(size))
+    counts = [[gid for gid in level if single[gid]] for level in levels]
     full = (1 << (1 << k)) - 1
-    start = [full * ((pairs >> j) & 1) for j in range(pairs.bit_length())]
-    for b in _blocks(circuit, masks, range(size), fixed):
-        if not b:  # the fixed masks are set now and stay for every block
-            start = count_planes((masks[gid] for gid in ops if fixed[gid]), start)
-            ops = [gid for gid in ops if not fixed[gid]]
-        yield b << k, k, count_planes(map(masks.__getitem__, ops), start)
+    # planes[0] is the pairs' constant, planes[l + 1] adds the counted gates
+    # up to level l; block 0 sweeps every level, so it fills them all
+    planes = [[full * ((pairs >> j) & 1) for j in range(pairs.bit_length())]]
+    planes += [[]] * len(levels)
+    for b, lo in _blocks(circuit, masks, levels):
+        for lv in range(lo, len(levels)):
+            planes[lv + 1] = count_planes(map(masks.__getitem__, counts[lv]), planes[lv])
+        yield b << k, k, planes[-1]
 
 
 def max_firing(circuit: Circuit, cap: int | None = None, counted=None) -> tuple[int, tuple]:

@@ -169,23 +169,38 @@ def _dt_bits(node, n: int, memo: dict) -> int:
     """Truth table bits of a decision-tree node, memoized structurally (the
     corpus shares subtrees heavily, and id()-keyed caching would go stale as
     enumerated root tuples are garbage collected and their ids recycled).
-    A node already in the memo is a leaf of the fold."""
+    Each node is looked up once: a leaf or a memoized node is a leaf of the
+    fold, and a root whose branches are both known is joined without one."""
     full = (1 << (1 << n)) - 1
     masks = var_masks(n)
 
-    def expand(t):
-        return () if isinstance(t, int) or t in memo else t[1:]
+    def known(t):
+        """The bits of a leaf or of a memoized node, else None."""
+        return (full if t else 0) if isinstance(t, int) else memo.get(t)
 
-    def join(t, branches: list[int]) -> int:
-        if isinstance(t, int):
-            return full if t else 0
+    hit = None  # what the last expand found; a leaf's join follows its expand
+
+    def expand(t):
+        nonlocal hit
+        hit = known(t)
+        return () if hit is not None else t[1:]
+
+    def join(t, branches) -> int:
         if not branches:
-            return memo[t]
+            return hit
         mv = masks[t[0]]
         out = memo[t] = ((full ^ mv) & branches[0]) | (mv & branches[1])
         return out
 
-    return fold(node, expand, join)
+    got = known(node)
+    if got is not None:
+        return got
+    lo, hi = known(node[1]), known(node[2])
+    if lo is None:
+        lo = fold(node[1], expand, join)
+    if hi is None:
+        hi = fold(node[2], expand, join)
+    return join(node, (lo, hi))
 
 
 def _all_reduced_trees(num_vars: int, depth: int):

@@ -23,6 +23,7 @@ from circuit_energy import (
     truth_table,
     var_masks,
 )
+from circuit_energy import semantics
 from circuit_energy.corpus import CIRCUIT, MONOTONE, GenSpec, fixture, generate
 from circuit_energy.formulas import readonce_leafneg_energy
 from circuit_energy.ir import AND, CONST, INPUT, NOT, OP_KINDS, OR, Circuit, Gate
@@ -212,6 +213,13 @@ TIE = (
     "f = OR x2 x3\ng = AND x2 x3\nh = OR x2 x16\n"
     "OUTPUT h\n"
 )
+# n = 18: p is at level 1 (x17), h and o at level 2 (x16).  Blocks 2 and 3
+# both peak at 3 (p, h and o), first on local inputs 3 and 1; block 3 sweeps
+# and counts only level 2, so its peak includes p's carried-over count and
+# only ties block 2's, whose argmax stays
+LEVEL_TIE = "p = AND x0 x17\nh = OR x1 x16\no = OR p h\nOUTPUT o\n"
+ALL_HIGH = {f"n{n}-seed{s}-all-high": _circuit(n, 60, seed=s)
+            for n, s in ((17, 26), (18, 32), (19, 54))}
 BLOCKED_CASES = {
     "pairs": parse_netlist(_inputs(18) + PAIRS),
     "high-only": parse_netlist(_inputs(19) + HIGH_ONLY),
@@ -219,6 +227,8 @@ BLOCKED_CASES = {
     "tie": parse_netlist(_inputs(17) + TIE),
     **{f"n{n}-seed{s}": _circuit(n, 40, seed=s) for n, s in ((17, 11), (19, 12), (20, 13))},
     "n18-monotone": _circuit(18, 30, MONOTONE, seed=14),
+    "level-tie": parse_netlist(_inputs(18) + LEVEL_TIE),
+    **ALL_HIGH,
 }
 
 
@@ -236,14 +246,78 @@ def test_blocked_energy_matches_whole_width_masks(name):
     m = energy_moments(c, at)
     assert (m.total, m.square_total) == (int(ref.sum()), int((ref * ref).sum()))
     assert (m.drawn == ref[at.astype(np.intp)]).all()
+    kinds = [g.kind for g in c.gates if g.kind in OP_KINDS]
+    rng = random.Random(name)
+    for counted in ([k != NOT for k in kinds], [rng.random() < 0.5 for _ in kinds]):
+        sub = energies(c, counted)
+        best = int(sub.argmax())
+        assert max_firing(c, counted=counted) == (sub[best], tuple((best >> i) & 1 for i in range(n)))
+    assert truth_table(c).bits == gate_masks(c)[c.output]
 
 
-def test_first_argmax_tie_across_blocks_with_a_start():
-    ref = energies(BLOCKED_CASES["tie"])
+@pytest.mark.parametrize("name", list(ALL_HIGH))
+def test_all_high_cases_depend_on_every_high_variable(name):
+    c = ALL_HIGH[name]
+    f = truth_table(c)
+    assert all(f.depends_on(v) for v in range(BLOCK_VARS, c.num_vars))
+
+
+@pytest.mark.parametrize("name, peaks, index", [
+    ("tie", [4, 4], 12),
+    ("level-tie", [2, 2, 3, 3], 3 | 2 << BLOCK_VARS),
+])
+def test_first_argmax_tie_across_blocks_with_a_start(name, peaks, index):
+    c = BLOCKED_CASES[name]
+    ref = energies(c)
     half = 1 << BLOCK_VARS
-    assert ref[:half].max() == ref[half:].max() == 4
-    assert energy_exhaustive(BLOCKED_CASES["tie"]).argmax_input == tuple(
-        (12 >> i) & 1 for i in range(17))
+    assert [ref[b * half:(b + 1) * half].max() for b in range(len(peaks))] == peaks
+    assert energy_exhaustive(c).argmax_input == tuple((index >> i) & 1 for i in range(c.num_vars))
+
+
+# n = 19: level l reads x(19 - l) as its lowest high variable; c and d mix
+# levels, and dead is outside the output cone
+LEVELS = (
+    "a = AND x0 x1\n"  # level 0
+    "b = OR x18 x2\n"  # level 1
+    "nb = NOT b\n"  # level 1
+    "c = AND x17 b\n"  # levels 2 and 1: level 2
+    "d = OR x16 a\n"  # levels 3 and 0: level 3
+    "e = AND c d x18\n"  # level 3
+    "o = OR e nb a\n"
+    "dead = AND x17 x18\n"  # level 2
+    "OUTPUT o\n"
+)
+
+
+def test_a_level_l_gate_is_swept_two_to_the_l_times(monkeypatch):
+    c = parse_netlist(_inputs(19) + LEVELS)
+    n = c.num_vars
+    # the level from each gate's support: n - (its lowest variable >= 16)
+    support: list[set] = []
+    for kind, ch, arg in c.gates:
+        support.append({arg} if kind == INPUT else set().union(*(support[x] for x in ch)))
+    high = [min((v for v in sup if v >= BLOCK_VARS), default=n) for sup in support]
+    level = [n - v for v in high]
+    assert set(level) == {0, 1, 2, 3}
+    swept = [0] * len(c.gates)
+    sweep = semantics._sweep
+
+    def counting(circuit, masks, ids, *rest):
+        for gid in ids:
+            swept[gid] += 1
+        return sweep(circuit, masks, ids, *rest)
+
+    monkeypatch.setattr(semantics, "_sweep", counting)
+    energy_exhaustive(c)
+    assert swept == [1 << lv for lv in level]
+    swept[:] = [0] * len(c.gates)
+    truth_table(c)  # sweeps only the output cone
+    cone = {c.output}
+    for gid in range(c.output, -1, -1):
+        if gid in cone:
+            cone.update(c.gates[gid].children)
+    assert len(c.gates) - 1 not in cone
+    assert swept == [1 << lv if gid in cone else 0 for gid, lv in enumerate(level)]
 
 
 @pytest.mark.parametrize("n", [17, 20])
