@@ -1,8 +1,8 @@
 """Whole-width references for the sweep tests.
 
 ``energies`` reads every gate's mask over all 2^n inputs off ``gate_masks``,
-unpacks it with numpy and sums per input: no blocks, no fixed-gate hoisting,
-no complement pairs and no bit-sliced counter.  ``gate_lanes`` evaluates the
+unpacks it with numpy and sums per input: no blocks, no levels carried
+over between blocks, no complement pairs and no bit-sliced counter.  ``gate_lanes`` evaluates the
 gates with numpy over the array of input indices, without the mask sweep, so
 it can check ``gate_masks`` itself.
 """

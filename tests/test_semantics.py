@@ -159,8 +159,9 @@ def test_truth_table_matches_gate_masks_over_blocks(c):
 
 
 # --------------------------------------------------------------------------
-# blocked counting against whole-width masks: above 2^16 inputs each block
-# starts from the count of the fixed gates and the complement pairs
+# blocked counting against whole-width masks: above 2^16 inputs each level
+# counts on top of the level below, level 0 on top of the complement pairs,
+# and a block re-counts only the levels whose high variables changed
 
 
 def _counts(planes, total):
@@ -262,16 +263,22 @@ def test_all_high_cases_depend_on_every_high_variable(name):
     assert all(f.depends_on(v) for v in range(BLOCK_VARS, c.num_vars))
 
 
-@pytest.mark.parametrize("name, peaks, index", [
-    ("tie", [4, 4], 12),
-    ("level-tie", [2, 2, 3, 3], 3 | 2 << BLOCK_VARS),
-])
-def test_first_argmax_tie_across_blocks_with_a_start(name, peaks, index):
-    c = BLOCKED_CASES[name]
+def test_first_argmax_tie_across_blocks_with_a_start():
+    ref = energies(BLOCKED_CASES["tie"])
+    half = 1 << BLOCK_VARS
+    assert ref[:half].max() == ref[half:].max() == 4
+    assert energy_exhaustive(BLOCKED_CASES["tie"]).argmax_input == tuple(
+        (12 >> i) & 1 for i in range(17))
+
+
+def test_first_argmax_tie_with_a_carried_level():
+    c = BLOCKED_CASES["level-tie"]
     ref = energies(c)
     half = 1 << BLOCK_VARS
-    assert [ref[b * half:(b + 1) * half].max() for b in range(len(peaks))] == peaks
-    assert energy_exhaustive(c).argmax_input == tuple((index >> i) & 1 for i in range(c.num_vars))
+    assert [int(ref[b * half:(b + 1) * half].max()) for b in range(4)] == [2, 2, 3, 3]
+    assert int(ref[3 * half:].argmax()) == 1  # block 3's own first peak
+    index = 3 | 2 << BLOCK_VARS
+    assert energy_exhaustive(c).argmax_input == tuple((index >> i) & 1 for i in range(18))
 
 
 # n = 19: level l reads x(19 - l) as its lowest high variable; c and d mix
