@@ -17,22 +17,26 @@ and can append each NOT, AND and OR mask, in gate order, to a list the
 caller passes in.  Energy is counted bit-sliced over those masks: a
 carry-save counter adds them into about log2(gates) bit-plane ints, and a
 top-down scan of the planes gives the block's maximum and its first input;
-a later block wins only with a strictly larger maximum.  n <= 16 is one
-block, and the counter reads the kernel's list of op masks as it stands,
-with no second pass over the gates to pick them.  Over several blocks,
-which run in ascending order, a gate's level is 0 when it reads only
-x0..x15 and n - v otherwise, v the lowest higher variable it reads: its
-mask changes only when one of the top `level` bits of the block index does,
-so a level-l gate is swept 2^l times, level 0 once.  Each level keeps its
-count planes, which start from the level below's; level 0 starts from a
-constant 1 per complement pair (a counted NOT over a counted gate, exactly
-one of which fires).  A block re-counts only the levels it swept.  psens
-counts the same way over masks derived from the truth table.  Truth tables
-join the output mask of each block.  energy_moments reads exact energy
-sums and sampled per-input energies off the same planes, without a
-per-input array.  gate_masks, which firing_patterns needs, is the
-whole-width sweep: one block of 2^n, priced against MASK_BUDGET before
-anything is allocated.
+a later block wins with a larger maximum, or with an equal one at a smaller
+input index.  n <= 16 is one block, and the counter reads the kernel's list
+of op masks as it stands, with no second pass over the gates to pick them.
+Over several blocks, each circuit puts its higher variables on the bits of
+a block counter in its own order, the one that makes the fewest gate
+sweeps (the lexicographically smallest such order, so the identity when it
+is among them), and blocks run as the counter counts.  A gate's level is 0
+when it reads only x0..x15 and H - p otherwise (H = n - 16), p the lowest
+counter bit that holds a variable it reads: its mask changes only when one
+of the top `level` bits of the counter does, so a level-l gate is swept 2^l
+times, level 0 once.  Each level keeps its count planes, which start from
+the level below's; level 0 starts from a constant 1 per complement pair (a
+counted NOT over a counted gate, exactly one of which fires).  A block
+re-counts only the levels it swept.  psens counts the same way over masks
+derived from the truth table.  Truth tables put the output mask of each
+block at the block's own index, choosing their order over the output cone.
+energy_moments reads exact energy sums and sampled per-input energies off
+the same planes, without a per-input array.  gate_masks, which
+firing_patterns needs, is the whole-width sweep: one block of 2^n, priced
+against MASK_BUDGET before anything is allocated.
 firing_patterns returns its distinct patterns as sorted packed rows
 (Patterns), which become tuples only as they are read.  It packs the rows
 eight gates at a time, one 8x8 bit transpose per 64-bit word of mask bytes,
@@ -120,44 +124,109 @@ def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int, ops=None
             ops.append(m)
 
 
-def _levels(circuit: Circuit, ids) -> list[list[int]]:
-    """The gates ``ids`` (ascending, closed under children) level by level,
-    each level ascending.  A gate that reads no variable >= BLOCK_VARS is at
-    level 0; otherwise it is at level n - v, v the lowest such variable it
+def _order(hist: list[int], top: int) -> list[int]:
+    """The order of the high variables over the block bits that makes the
+    fewest gate sweeps, as offsets v - BLOCK_VARS: entry p is the variable
+    at bit p.  ``hist[s]`` counts the swept gates whose set of high
+    variables, as a ``top``-bit mask, is s.
+
+    A gate whose first variable in the order sits at bit p is swept
+    2^(top - p) times, so placing v at bit p costs 2^(top - p) per gate that
+    reads v and none of the variables placed before it.  ``free[t]``, the
+    gates that read nothing outside t, gives that count from two subset
+    sums.  ``rest[placed]`` is the least cost of placing the others above
+    the placed ones, and ``pick[placed]`` the smallest variable reaching it,
+    so walking the picks from nothing placed gives the lexicographically
+    smallest optimal order: the identity whenever the identity is optimal.
+    """
+    size = 1 << top
+    free = list(hist)
+    for v in range(top):
+        bit = 1 << v
+        for t in range(size):
+            if t & bit:
+                free[t] += free[t ^ bit]
+    full = size - 1
+    rest = [0] * size
+    pick = [0] * size
+    for placed in range(full - 1, -1, -1):
+        weight = 1 << (top - placed.bit_count())
+        left = free[full ^ placed]  # the gates that read no placed variable
+        best = -1
+        for v in range(top):
+            bit = 1 << v
+            if not placed & bit:
+                cost = weight * (left - free[full ^ placed ^ bit]) + rest[placed | bit]
+                if best < 0 or cost < best:
+                    best, pick[placed] = cost, v
+        rest[placed] = best
+    order, placed = [], 0
+    for _ in range(top):
+        order.append(pick[placed])
+        placed |= 1 << pick[placed]
+    return order
+
+
+def _levels(circuit: Circuit, ids) -> tuple[list[int], list[list[int]]]:
+    """The block order of the high variables (see _order), chosen for the
+    gates ``ids`` (ascending, closed under children), and those gates level
+    by level, each level ascending.  A gate that reads no variable >=
+    BLOCK_VARS is at level 0; otherwise it is at level H - p, H = n -
+    BLOCK_VARS and p the lowest bit of the order that holds a variable it
     reads, so a gate is at the highest level of its children.  A level-l
-    gate's mask depends only on the top l bits of the block index."""
-    n = circuit.num_vars
+    gate's mask depends only on the top l bits of the block's place in the
+    order."""
+    top = circuit.num_vars - BLOCK_VARS
     gates = circuit.gates
-    level = [0] * len(gates)
-    levels: list[list[int]] = [[] for _ in range(n - BLOCK_VARS + 1)]
+    high = [0] * len(gates)  # each gate's high variables, bit v - BLOCK_VARS
+    hist = [0] * (1 << top)
     for gid in ids:
         kind, ch, arg = gates[gid]
         if kind == INPUT:
-            lv = n - arg if arg >= BLOCK_VARS else 0
+            s = 1 << (arg - BLOCK_VARS) if arg >= BLOCK_VARS else 0
         else:
-            lv = max(map(level.__getitem__, ch), default=0)
-        level[gid] = lv
-        levels[lv].append(gid)
-    return levels
+            s = 0
+            for c in ch:
+                s |= high[c]
+        high[gid] = s
+        hist[s] += 1
+    order = _order(hist, top)
+    # a set of high variables is at the highest level of its members, and
+    # the variable at bit p alone is at level top - p
+    alone = [0] * top
+    for p, v in enumerate(order):
+        alone[v] = top - p
+    level_of = [0] * len(hist)
+    for s in range(1, len(hist)):
+        level_of[s] = max(level_of[s & (s - 1)], alone[(s & -s).bit_length() - 1])
+    levels: list[list[int]] = [[] for _ in range(top + 1)]
+    for gid in ids:
+        levels[level_of[high[gid]]].append(gid)
+    return order, levels
 
 
-def _blocks(circuit: Circuit, masks: list[int], levels: list[list[int]]):
-    """Sweep the gates of ``levels`` (see _levels) over every block of
-    2^BLOCK_VARS inputs in ascending order, yielding ``(b, lo)`` once block
-    b's masks are set, lo the lowest level swept for it.  From block b - 1
-    to b only the low (b ^ (b - 1)).bit_length() bits of b flip, so only the
-    levels from H + 1 minus that up are swept again (H = n - BLOCK_VARS, the
-    top level): a level-l gate is swept 2^l times, the others' masks carry
-    over.  The levels swept together go in one kernel call, merged in
-    ascending order, which keeps every child before its parents."""
+def _blocks(circuit: Circuit, masks: list[int], order: list[int], levels: list[list[int]]):
+    """Sweep the gates of ``levels`` over every block of 2^BLOCK_VARS inputs,
+    with ``order`` and ``levels`` from _levels, yielding ``(g, lo)`` once
+    block g's masks are set, lo the lowest level swept for it.  Blocks run
+    as b = 0, 1, ..., and bit p of b is bit ``order[p]`` of the block index
+    g.  From b - 1 to b only the low (b ^ (b - 1)).bit_length() bits of b
+    flip, so only the levels from H + 1 minus that up are swept again (H =
+    n - BLOCK_VARS, the top level): a level-l gate is swept 2^l times, the
+    others' masks carry over.  The levels swept together go in one kernel
+    call, merged in ascending order, which keeps every child before its
+    parents."""
     top = len(levels) - 1
     tails = [levels[top]]  # tails[top - l]: the levels from l up, merged
     for level in reversed(levels[:top]):
         tails.append(sorted(level + tails[-1]))
-    for b in range(1 << top):
+    index = [0] * (1 << top)  # index[b]: the block run b-th
+    for b in range(1, 1 << top):
+        index[b] = index[b & (b - 1)] | 1 << order[(b & -b).bit_length() - 1]
+    for b, g in enumerate(index):
         lo = top + 1 - (b ^ (b - 1)).bit_length() if b else 0
-        _sweep(circuit, masks, tails[top - lo], BLOCK_VARS, b)
-        yield b, lo
+        _sweep(circuit, masks, tails[top - lo], BLOCK_VARS, g)
+        yield g, lo
 
 
 def gate_masks(circuit: Circuit, cap: int | None = None) -> list[int]:
@@ -293,9 +362,10 @@ def _cone(circuit: Circuit) -> list[int]:
 
 def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
     """The output's mask.  Over several blocks, the output masks of the
-    blocks are joined, and only the output cone is swept, each of its gates
-    once per change of its level (see _blocks); in a single block, finding
-    the cone costs more than the dead gates it would skip."""
+    blocks are joined in input order, and only the output cone is swept,
+    in the block order chosen for the cone, each of its gates once per
+    change of its level (see _blocks); in a single block, finding the cone
+    costs more than the dead gates it would skip."""
     n = circuit.num_vars
     _check_cap(n, cap, EVAL_CAP)
     size = len(circuit.gates)
@@ -304,10 +374,9 @@ def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
         _sweep(circuit, masks, range(size), n, 0)
         return TruthTable(n, masks[circuit.output])
     width = 1 << (BLOCK_VARS - 3)
-    parts = [
-        masks[circuit.output].to_bytes(width, "little")
-        for _ in _blocks(circuit, masks, _levels(circuit, _cone(circuit)))
-    ]
+    parts = [b""] * (1 << (n - BLOCK_VARS))
+    for g, _ in _blocks(circuit, masks, *_levels(circuit, _cone(circuit))):
+        parts[g] = masks[circuit.output].to_bytes(width, "little")
     return TruthTable(n, int.from_bytes(b"".join(parts), "little"))
 
 
@@ -417,16 +486,18 @@ def max_planes(planes: list[int], full: int) -> tuple[int, int]:
 
 
 def _block_planes(circuit: Circuit, counted):
-    """Per block of inputs: its first index, its width 2^k and the count
-    planes of the NOT/AND/OR gates that ``counted`` flags (all when None).
+    """Per block of inputs, in the order _blocks runs them (not input order
+    above 2^16 inputs): its first index, its width 2^k and the count planes
+    of the NOT/AND/OR gates that ``counted`` flags (all when None).
 
     Over several blocks, each complement pair, a counted NOT over a counted
     gate, adds a constant 1, since exactly one of the two fires on every
     input; each gate is paired at most once.  The other counted gates are
-    counted level by level (see _levels): a level's planes start from the
-    planes of the level below, level 0's from the pairs' constant, and a
-    block re-counts only the levels that _blocks swept for it, so a level's
-    count carries over while its masks do.
+    counted level by level (see _levels), under the order chosen for all
+    gates: a level's planes start from the planes of the level below, level
+    0's from the pairs' constant, and a block re-counts only the levels that
+    _blocks swept for it, so a level's count carries over while its masks
+    do.  Levels nest under any fixed order, so this holds for every order.
     """
     n = circuit.num_vars
     k = min(n, BLOCK_VARS)
@@ -451,17 +522,17 @@ def _block_planes(circuit: Circuit, counted):
             pairs += 1
         else:
             single[gid] = True
-    levels = _levels(circuit, range(size))
+    order, levels = _levels(circuit, range(size))
     counts = [[gid for gid in level if single[gid]] for level in levels]
     full = (1 << (1 << k)) - 1
     # planes[0] is the pairs' constant, planes[l + 1] adds the counted gates
     # up to level l; block 0 sweeps every level, so it fills them all
     planes = [[full * ((pairs >> j) & 1) for j in range(pairs.bit_length())]]
     planes += [[]] * len(levels)
-    for b, lo in _blocks(circuit, masks, levels):
+    for g, lo in _blocks(circuit, masks, order, levels):
         for lv in range(lo, len(levels)):
             planes[lv + 1] = count_planes(map(masks.__getitem__, counts[lv]), planes[lv])
-        yield b << k, k, planes[-1]
+        yield g << k, k, planes[-1]
 
 
 def max_firing(circuit: Circuit, cap: int | None = None, counted=None) -> tuple[int, tuple]:
@@ -472,7 +543,9 @@ def max_firing(circuit: Circuit, cap: int | None = None, counted=None) -> tuple[
     best, arg = -1, 0
     for base, k, planes in _block_planes(circuit, counted):
         peak, idx = max_planes(planes, (1 << (1 << k)) - 1)
-        if peak > best:  # strictly: an earlier block keeps a tie
+        # blocks need not run in input order: an equal peak wins only at a
+        # smaller input index
+        if peak > best or peak == best and base + idx < arg:
             best, arg = peak, base + idx
     return best, tuple((arg >> i) & 1 for i in range(circuit.num_vars))
 
@@ -489,7 +562,9 @@ def energy_moments(circuit: Circuit, at, cap: int | None = None) -> EnergyMoment
     energy at each input index in ``at``, read off each block's count
     planes P_j: the sum is sum_j 2^j |P_j|, the sum of squares
     sum_{j,k} 2^(j+k) |P_j & P_k|, and input i's energy sum_j 2^j bit_i(P_j).
-    The indices are taken block by block, so no 2^n array is built."""
+    The indices are taken block by block, matched against each block's
+    first index whatever order the blocks run in, so no 2^n array is
+    built."""
     _check_cap(circuit.num_vars, cap, EVAL_CAP)
     at = np.asarray(at, dtype=np.uint64)
     drawn = np.zeros(len(at), dtype=np.uint32)

@@ -170,7 +170,10 @@ def _dt_bits(node, n: int, memo: dict) -> int:
     corpus shares subtrees heavily, and id()-keyed caching would go stale as
     enumerated root tuples are garbage collected and their ids recycled).
     Each node is looked up once: a leaf or a memoized node is a leaf of the
-    fold, and a root whose branches are both known is joined without one."""
+    fold, and a root whose branches are both known is joined without one.
+    Only the branches the fold joins are stored, not ``node`` itself: a
+    corpus root almost never recurs as a later root's branch, so storing
+    roots would keep every tree of a walk alive."""
     full = (1 << (1 << n)) - 1
     masks = var_masks(n)
 
@@ -200,7 +203,8 @@ def _dt_bits(node, n: int, memo: dict) -> int:
         lo = fold(node[1], expand, join)
     if hi is None:
         hi = fold(node[2], expand, join)
-    return join(node, (lo, hi))
+    mv = masks[node[0]]
+    return ((full ^ mv) & lo) | (mv & hi)
 
 
 def _all_reduced_trees(num_vars: int, depth: int):

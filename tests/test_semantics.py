@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from bisect import bisect_left
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ TIE = (
 # and counts only level 2, so its peak includes p's carried-over count and
 # only ties block 2's, whose argmax stays
 LEVEL_TIE = "p = AND x0 x17\nh = OR x1 x16\no = OR p h\nOUTPUT o\n"
+# n = 18: more gates read x16 than x17, so x17 takes block bit 0 and the
+# blocks run as 0, 2, 1, 3.  Blocks 1 and 2 both peak at 5 (blocks 0 and 3
+# at 4 and 3), first on local inputs 1 and 2; block 2 runs first, and
+# block 1's smaller index takes the tie
+ORDER_TIE = (
+    "n16 = NOT x16\nn17 = NOT x17\n"
+    "a = AND x16 n17\nb = AND x17 n16\np = OR x16 x17\n"
+    "q = AND x0 x16\nr = AND x1 n16\n"
+    "o = OR a b p q r\nOUTPUT o\n"
+)
 ALL_HIGH = {f"n{n}-seed{s}-all-high": _circuit(n, 60, seed=s)
             for n, s in ((17, 26), (18, 32), (19, 54))}
 BLOCKED_CASES = {
@@ -230,6 +241,7 @@ BLOCKED_CASES = {
     "n18-monotone": _circuit(18, 30, MONOTONE, seed=14),
     "level-tie": parse_netlist(_inputs(18) + LEVEL_TIE),
     **ALL_HIGH,
+    "order-tie": parse_netlist(_inputs(18) + ORDER_TIE),
 }
 
 
@@ -324,6 +336,105 @@ def test_a_level_l_gate_is_swept_two_to_the_l_times(monkeypatch):
         if gid in cone:
             cone.update(c.gates[gid].children)
     assert len(c.gates) - 1 not in cone
+    assert swept == [1 << lv if gid in cone else 0 for gid, lv in enumerate(level)]
+
+
+# --------------------------------------------------------------------------
+# the block order: each circuit's high variables take the block bits in the
+# order that makes the fewest gate sweeps, the lexicographically smallest
+# such order; blocks then need not run in input order
+
+
+def _high_sets(c):
+    """Each gate's set of variables >= BLOCK_VARS, from its support."""
+    sets: list[frozenset] = []
+    for kind, ch, arg in c.gates:
+        if kind == INPUT:
+            sets.append(frozenset({arg} if arg >= BLOCK_VARS else ()))
+        else:
+            sets.append(frozenset().union(*(sets[x] for x in ch)))
+    return sets
+
+
+def _order_levels(c, order):
+    """Each gate's level when variable BLOCK_VARS + order[p] takes block
+    bit p: top - p for the lowest such p among its variables, else 0."""
+    top = c.num_vars - BLOCK_VARS
+    bit = {BLOCK_VARS + v: p for p, v in enumerate(order)}
+    return [top - min(map(bit.__getitem__, s)) if s else 0 for s in _high_sets(c)]
+
+
+def _cone_ids(c):
+    cone = {c.output}
+    for gid in range(c.output, -1, -1):
+        if gid in cone:
+            cone.update(c.gates[gid].children)
+    return sorted(cone)
+
+
+ORDER_CASES = {
+    **{f"n{n}-seed{s}": _circuit(n, 80, seed=s) for n in range(17, 22) for s in (60, 61)},
+    "level-tie": BLOCKED_CASES["level-tie"],
+    "order-tie": BLOCKED_CASES["order-tie"],
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_CASES))
+def test_block_order_is_the_first_of_the_best_orders(name):
+    c = ORDER_CASES[name]
+    top = c.num_vars - BLOCK_VARS
+    for ids in (range(len(c.gates)), _cone_ids(c)):
+        sweeps = {}
+        for order in permutations(range(top)):
+            level = _order_levels(c, order)
+            sweeps[order] = sum(1 << level[gid] for gid in ids)
+        fewest = min(sweeps.values())
+        order, levels = semantics._levels(c, ids)
+        assert tuple(order) == min(o for o, k in sweeps.items() if k == fewest)
+        level = _order_levels(c, order)
+        assert levels == [[gid for gid in ids if level[gid] == lv] for lv in range(top + 1)]
+
+
+def test_block_order_keeps_the_identity_when_it_ties():
+    c = ORDER_CASES["level-tie"]
+    ids = range(len(c.gates))
+    counts = [sum(1 << lv for lv in _order_levels(c, order)) for order in ((0, 1), (1, 0))]
+    assert counts == [32, 32]
+    assert semantics._levels(c, ids)[0] == [0, 1]
+
+
+def test_first_argmax_tie_across_blocks_run_out_of_order():
+    c = BLOCKED_CASES["order-tie"]
+    assert semantics._levels(c, range(len(c.gates)))[0] == [1, 0]  # x17 at bit 0
+    ref = energies(c)
+    half = 1 << BLOCK_VARS
+    assert [int(ref[b * half:(b + 1) * half].max()) for b in range(4)] == [4, 5, 5, 3]
+    assert (int(ref[half:2 * half].argmax()), int(ref[2 * half:3 * half].argmax())) == (1, 2)
+    index = 1 | 1 << BLOCK_VARS  # in block 1, which runs after block 2
+    assert energy_exhaustive(c).argmax_input == tuple((index >> i) & 1 for i in range(18))
+
+
+def test_a_gate_is_swept_two_to_its_level_under_the_chosen_order(monkeypatch):
+    c = BLOCKED_CASES["n19-seed54-all-high"]
+    order = semantics._levels(c, range(len(c.gates)))[0]
+    assert order == [1, 2, 0]
+    assert sum(1 << lv for lv in _order_levels(c, (0, 1, 2))) == 259  # input order
+    level = _order_levels(c, order)
+    swept = [0] * len(c.gates)
+    sweep = semantics._sweep
+
+    def counting(circuit, masks, ids, *rest):
+        for gid in ids:
+            swept[gid] += 1
+        return sweep(circuit, masks, ids, *rest)
+
+    monkeypatch.setattr(semantics, "_sweep", counting)
+    energy_exhaustive(c)
+    assert swept == [1 << lv for lv in level] and sum(swept) == 195
+    swept[:] = [0] * len(c.gates)
+    truth_table(c)  # its order is chosen over the output cone
+    cone = _cone_ids(c)
+    level = _order_levels(c, semantics._levels(c, cone)[0])
     assert swept == [1 << lv if gid in cone else 0 for gid, lv in enumerate(level)]
 
 

@@ -300,6 +300,18 @@ def test_dt_bits_matches_the_compiled_circuit():
         assert bits == _dt_bits(tree.root, 6, {})  # the memo changes nothing
 
 
+def test_dt_bits_stores_only_the_branches_of_roots():
+    # a root is joined without being stored, so a walk over the corpus
+    # keeps only the subtrees its roots share
+    roots = list(_all_reduced_trees(3, 2)[0])
+    memo = {}
+    for root in roots:
+        want = TruthTable.from_callable(3, DecisionTree(3, root).evaluate).bits
+        assert _dt_bits(root, 3, memo) == want
+    branches = {b for t in roots if not isinstance(t, int) for b in t[1:]}
+    assert set(memo) == {b for b in branches if not isinstance(b, int)}
+
+
 def test_connector_merge_over_a_deep_side():
     # side 0 compiles a 1 200-level chain tree that is true only on x1199
     # alone; side 1 is x0 OR NOT x1

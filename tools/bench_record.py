@@ -16,9 +16,11 @@ figures of every traced per-layer ``self_s``, since one traced cycle alone
 can move by a quarter on unchanged code.
 ``run.py`` itself is run unchanged from each checkout.  Before the
 workloads, each checkout runs ``python -m circuit_energy verify-all --level
-full --json`` once, in the reverse of seed 1's order; the file keeps each
-check's ``seconds``, the wall time and a digest of the output without
-them, which two checkouts with the same results share.
+full --json`` 3 times, the checkouts alternating; the file keeps each
+check's ``seconds`` and the wall time, per run and their median, and a
+digest of the output without them, which two checkouts with the same
+results share.  A checkout whose runs disagree on the digest or the exit
+code stops the recording with a non-zero exit.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ WORKLOADS = ("dtree-compile", "wide-sweep", "small-certify")
 END_TO_END = ("throughput_inst_s", "latency_ms_p50", "latency_ms_tail", "setup_s", "peak_rss_mb")
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 TRACED_SEEDS = 3  # --trace 1 runs per workload and checkout
+VERIFY_RUNS = 3  # verify-all runs per checkout
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -63,6 +66,27 @@ def verify_all(checkout: Path) -> dict:
         "seconds": seconds,
         "wall_time_s": doc.pop("wall_time"),
         "output_sha256": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+    }
+
+
+def verify_runs(label: str, runs: list[dict]) -> dict:
+    """The ``verify_all`` runs of one checkout: each check's seconds and the
+    wall time per run and their median, and the one exit code and digest
+    that every run must share."""
+    if len({(r["exit_code"], r["output_sha256"]) for r in runs}) > 1:
+        raise SystemExit(f"verify-all runs of {label} disagree: "
+                         + ", ".join(f"exit {r['exit_code']} {r['output_sha256'][:12]}"
+                                     for r in runs))
+
+    def timed(values: list[float]) -> dict:
+        return {"median": statistics.median(values), "per_run": values}
+
+    return {
+        "exit_code": runs[0]["exit_code"],
+        "output_sha256": runs[0]["output_sha256"],
+        "seconds": {check: timed([r["seconds"][check] for r in runs])
+                    for check in runs[0]["seconds"]},
+        "wall_time_s": timed([r["wall_time_s"] for r in runs]),
     }
 
 
@@ -110,10 +134,12 @@ def main(argv=None) -> int:
             ap.error(f"{spec!r} is not LABEL=DIR of a checkout with perfbench/run.py")
         sides.append((label, Path(path).resolve()))
 
-    verify = {}
-    for label, path in sides[::-1]:
-        print(f"verify-all {label}", file=sys.stderr, flush=True)
-        verify[label] = verify_all(path)
+    runs = {label: [] for label, _ in sides}
+    for k in range(VERIFY_RUNS):
+        for label, path in sides[::-1] if k % 2 == 0 else sides:
+            print(f"verify-all run={k + 1} {label}", file=sys.stderr, flush=True)
+            runs[label].append(verify_all(path))
+    verify = {label: verify_runs(label, runs[label]) for label, _ in sides}
     plain = {label: {w: [] for w in WORKLOADS} for label, _ in sides}
     traced = {label: {w: [] for w in WORKLOADS} for label, _ in sides}
     for w in WORKLOADS:
@@ -128,7 +154,8 @@ def main(argv=None) -> int:
     doc = {
         "what": "perfbench/run.py end-to-end runs (--trace 0) over seeds 1..k per workload, "
                 f"checkouts alternating, plus --trace 1 runs at seeds 1..{TRACED_SEEDS}, "
-                "and one `verify-all --level full --json` run per checkout",
+                f"and {VERIFY_RUNS} alternating `verify-all --level full --json` runs per "
+                "checkout",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} "
                    "--trace T",
         "seeds": list(range(1, args.seeds + 1)),
