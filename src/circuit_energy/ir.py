@@ -145,9 +145,14 @@ class Circuit:
     one INPUT gate per variable (formulas relax this, see :class:`Formula`).
     Construction validates by default; internal builders that construct gates
     in bulk pass ``validate=False`` and the test suite re-validates.
+
+    ``swept`` belongs to ``semantics``: None until a circuit of at most 2^16
+    inputs is first swept, then every gate's mask over all of them, kept
+    for the next sweep.  Nothing assigns to a circuit after construction,
+    so the masks never go stale.
     """
 
-    __slots__ = ("num_vars", "gates", "output", "fanin_mode")
+    __slots__ = ("num_vars", "gates", "output", "fanin_mode", "swept")
 
     def __init__(
         self,
@@ -162,6 +167,7 @@ class Circuit:
         self.gates = tuple(gates)
         self.output = output
         self.fanin_mode = fanin_mode
+        self.swept = None
         if validate:
             self.validate()
 

@@ -12,14 +12,20 @@ Sweeps run in blocks of 2^16 inputs (BLOCK_VARS): inside block b, variables
 below 16 are the usual columns and variable v >= 16 is the constant bit
 v - 16 of b, so a gate's mask for one block is 8 KB whatever n is, and a
 sweep holds one block of masks at a time.  One kernel sets every gate's mask
-for a block, testing AND and OR first since most gates are one of the two,
-and can append each NOT, AND and OR mask, in gate order, to a list the
-caller passes in.  Energy is counted bit-sliced over those masks: a
-carry-save counter adds them into about log2(gates) bit-plane ints, and a
-top-down scan of the planes gives the block's maximum and its first input;
-a later block wins with a larger maximum, or with an equal one at a smaller
-input index.  n <= 16 is one block, and the counter reads the kernel's list
-of op masks as it stands, with no second pass over the gates to pick them.
+for a block, testing AND and OR first since most gates are one of the two.
+Energy is counted bit-sliced over the NOT, AND and OR masks: a carry-save
+counter adds them into about log2(gates) bit-plane ints, and a top-down scan
+of the planes gives the block's maximum and its first input; a later block
+wins with a larger maximum, or with an equal one at a smaller input index.
+n <= 16 is one block, and its masks are kept: the first sweep of a circuit
+stores every gate's mask on it (Circuit.swept, see _whole), and truth_table,
+the energy counts, energy_moments and gate_masks all read them from there,
+so a circuit is swept once however many of them it goes through.  Nothing
+changes a circuit after construction, so the kept masks never go stale,
+and every cap and budget check runs before they are read.  evaluate never
+sweeps: it reads each gate's bit off the kept masks when the circuit has
+them and n <= MEMO_EVAL_VARS, where that is faster, and otherwise
+interprets the gates, AND and OR first.  Above 2^16 inputs nothing is kept.
 Over several blocks, each circuit puts its higher variables on the bits of
 a block counter in its own order, the one that makes the fewest gate
 sweeps (the lexicographically smallest such order, so the identity when it
@@ -35,8 +41,9 @@ derived from the truth table.  Truth tables put the output mask of each
 block at the block's own index, choosing their order over the output cone.
 energy_moments reads exact energy sums and sampled per-input energies off
 the same planes, without a per-input array.  gate_masks, which
-firing_patterns needs, is the whole-width sweep: one block of 2^n, priced
-against MASK_BUDGET before anything is allocated.
+firing_patterns needs, returns a copy of the kept masks at n <= 16 and
+sweeps one block of 2^n above; either way it prices the masks against
+MASK_BUDGET first.
 firing_patterns returns its distinct patterns as sorted packed rows
 (Patterns), which become tuples only as they are read.  It packs the rows
 eight gates at a time, one 8x8 bit transpose per 64-bit word of mask bytes,
@@ -56,11 +63,17 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import CapExceeded, LengthMismatch
-from .ir import AND, CONST, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree
+from .ir import AND, INPUT, NOT, OR, Circuit, DecisionTree
 
 EVAL_CAP = 24  # exhaustive sweeps
 MASK_BUDGET = 1 << 27  # bytes of whole-width masks gate_masks may hold
 BLOCK_VARS = 16  # a sweep block covers 2^16 inputs
+# evaluate reads a swept circuit's masks up to 2^12 inputs and interprets
+# above: per call, best of 7 over 200 inputs on seed-3 CIRCUIT instances,
+# the read against the interpreter took 4.6 against 15.0 us at n = 8 (68
+# gates), 38.7 against 88.1 at n = 12 (412), 63.4 against 59.9 at n = 14
+# (294) and 214.6 against 65.1 at n = 16 (316)
+MEMO_EVAL_VARS = 12
 DT_CAP = 5  # dt_depth's memoized recursion
 
 
@@ -90,12 +103,11 @@ def var_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int, ops=None) -> None:
+def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int) -> None:
     """Set ``masks[g]`` for every gate id g in ``ids`` (ascending; each child
     is in ``ids`` or already set) over inputs block * 2^k .. (block + 1) *
-    2^k - 1, and append each NOT/AND/OR mask, in gate order, to the list
-    ``ops`` when one is given.  AND and OR, most of the gates, are tested
-    first, and two children take no loop."""
+    2^k - 1.  AND and OR, most of the gates, are tested first, and two
+    children take no loop."""
     full = (1 << (1 << k)) - 1
     vm = var_masks(k)
     gates = circuit.gates
@@ -113,15 +125,24 @@ def _sweep(circuit: Circuit, masks: list[int], ids, k: int, block: int, ops=None
                     m |= masks[c]
         elif kind == NOT:
             m = full ^ masks[ch[0]]
-        else:
-            if kind == INPUT:
-                masks[gid] = vm[arg] if arg < k else full * ((block >> (arg - k)) & 1)
-            else:  # CONST
-                masks[gid] = full if arg else 0
-            continue
+        elif kind == INPUT:
+            m = vm[arg] if arg < k else full * ((block >> (arg - k)) & 1)
+        else:  # CONST
+            m = full if arg else 0
         masks[gid] = m
-        if ops is not None:
-            ops.append(m)
+
+
+def _whole(circuit: Circuit) -> tuple[int, ...]:
+    """Every gate's mask over all 2^n inputs, n <= BLOCK_VARS, in gate order.
+    The first call sweeps them into ``circuit.swept`` and later calls read
+    them back, so a circuit is swept once however many sweeps ask."""
+    masks = circuit.swept
+    if masks is None:
+        size = len(circuit.gates)
+        buf = [0] * size
+        _sweep(circuit, buf, range(size), circuit.num_vars, 0)
+        masks = circuit.swept = tuple(buf)
+    return masks
 
 
 def _order(hist: list[int], top: int) -> list[int]:
@@ -244,6 +265,8 @@ def gate_masks(circuit: Circuit, cap: int | None = None) -> list[int]:
             f"{size} gates over 2^{n} inputs need {(size << n) >> 23} MB of masks, "
             f"over the {MASK_BUDGET >> 20} MB budget"
         )
+    if n <= BLOCK_VARS:
+        return list(_whole(circuit))
     masks = [0] * size
     _sweep(circuit, masks, range(size), n, 0)
     return masks
@@ -364,15 +387,13 @@ def truth_table(circuit: Circuit, cap: int | None = None) -> TruthTable:
     """The output's mask.  Over several blocks, the output masks of the
     blocks are joined in input order, and only the output cone is swept,
     in the block order chosen for the cone, each of its gates once per
-    change of its level (see _blocks); in a single block, finding the cone
-    costs more than the dead gates it would skip."""
+    change of its level (see _blocks); a single block reads the output's
+    kept mask (see _whole)."""
     n = circuit.num_vars
     _check_cap(n, cap, EVAL_CAP)
-    size = len(circuit.gates)
-    masks = [0] * size
     if n <= BLOCK_VARS:
-        _sweep(circuit, masks, range(size), n, 0)
-        return TruthTable(n, masks[circuit.output])
+        return TruthTable(n, _whole(circuit)[circuit.output])
+    masks = [0] * len(circuit.gates)
     width = 1 << (BLOCK_VARS - 3)
     parts = [b""] * (1 << (n - BLOCK_VARS))
     for g, _ in _blocks(circuit, masks, *_levels(circuit, _cone(circuit))):
@@ -399,6 +420,10 @@ class EvalTrace:
 
 
 def evaluate(circuit: Circuit, x) -> EvalTrace:
+    """Every gate's value and the energy at input ``x``: read off the
+    circuit's whole-width masks when it has been swept and n <= MEMO_EVAL_VARS,
+    else interpreted gate by gate (evaluate never sweeps 2^n inputs itself).
+    The interpreter, like _sweep, tests AND and OR first."""
     x = tuple(int(b) for b in x)
     if len(x) != circuit.num_vars:
         raise LengthMismatch(
@@ -406,30 +431,32 @@ def evaluate(circuit: Circuit, x) -> EvalTrace:
         )
     if any(b not in (0, 1) for b in x):
         raise LengthMismatch("input must be a 0/1 vector")
-    vals: list[int] = []
+    gates = circuit.gates
+    masks = circuit.swept
+    if masks is not None and circuit.num_vars <= MEMO_EVAL_VARS:
+        bit = 1 << sum(b << i for i, b in enumerate(x))
+        vals = [1 if m & bit else 0 for m in masks]
+        energy = sum(compress(vals, map(itemgetter(1), gates)))
+        return EvalTrace(x, tuple(vals), vals[circuit.output], energy)
+    vals = []
     energy = 0
-    for g in circuit.gates:
-        k = g.kind
-        if k == INPUT:
-            v = x[g.arg]
-        elif k == CONST:
-            v = g.arg
-        elif k == NOT:
-            v = 1 - vals[g.children[0]]
-        elif k == AND:
-            v = 1
-            for c in g.children:
-                if not vals[c]:
-                    v = 0
-                    break
-        else:  # OR
-            v = 0
-            for c in g.children:
-                if vals[c]:
-                    v = 1
-                    break
-        if v and k in OP_KINDS:
-            energy += v
+    for kind, ch, arg in gates:
+        if kind == AND:
+            v = vals[ch[0]] & vals[ch[-1]]
+            if len(ch) > 2:
+                for c in ch[1:-1]:
+                    v &= vals[c]
+        elif kind == OR:
+            v = vals[ch[0]] | vals[ch[-1]]
+            if len(ch) > 2:
+                for c in ch[1:-1]:
+                    v |= vals[c]
+        elif kind == NOT:
+            v = 1 - vals[ch[0]]
+        else:
+            vals.append(x[arg] if kind == INPUT else arg)
+            continue
+        energy += v
         vals.append(v)
     return EvalTrace(x, tuple(vals), vals[circuit.output], energy)
 
@@ -488,7 +515,8 @@ def max_planes(planes: list[int], full: int) -> tuple[int, int]:
 def _block_planes(circuit: Circuit, counted):
     """Per block of inputs, in the order _blocks runs them (not input order
     above 2^16 inputs): its first index, its width 2^k and the count planes
-    of the NOT/AND/OR gates that ``counted`` flags (all when None).
+    of the NOT/AND/OR gates that ``counted`` flags (all when None).  A
+    single block counts the kept masks (see _whole).
 
     Over several blocks, each complement pair, a counted NOT over a counted
     gate, adds a constant 1, since exactly one of the two fires on every
@@ -500,16 +528,16 @@ def _block_planes(circuit: Circuit, counted):
     do.  Levels nest under any fixed order, so this holds for every order.
     """
     n = circuit.num_vars
-    k = min(n, BLOCK_VARS)
+    # the NOT/AND/OR gates are exactly the gates with children
+    has_children = map(itemgetter(1), circuit.gates)
+    if n <= BLOCK_VARS:  # one block: count the op masks of the whole sweep
+        ops = compress(_whole(circuit), has_children)
+        yield 0, n, count_planes(ops if counted is None else compress(ops, counted))
+        return
+    k = BLOCK_VARS
     size = len(circuit.gates)
     masks = [0] * size
-    if n == k:  # one block: count the op masks as the sweep hands them over
-        ops: list[int] = []
-        _sweep(circuit, masks, range(size), k, 0, ops)
-        yield 0, k, count_planes(ops if counted is None else compress(ops, counted))
-        return
-    # the NOT/AND/OR gates are exactly the gates with children
-    ops = list(compress(range(size), map(itemgetter(1), circuit.gates)))
+    ops = list(compress(range(size), has_children))
     if counted is not None:
         ops = list(compress(ops, counted))
     gates = circuit.gates

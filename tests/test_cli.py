@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from circuit_energy import bounds, cli, verify
+from circuit_energy import TruthTable, bounds, cli, verify
 from circuit_energy.cli import main
+from circuit_energy.ir import AND, UNBOUNDED, Circuit, Gate
+from circuit_energy.synth import DtCompileResult
 
 OR2 = "INPUT x0\nINPUT x1\ng = OR x0 x1\nOUTPUT g\n"
 
@@ -404,6 +406,61 @@ def test_tree_checks_share_one_walk_and_one_compile_per_tree(monkeypatch):
     for res in report.checks:
         assert (res.instances_tried, res.violations) == (353, 1)
         assert res.failures == ["enumeration: enumerated 302 trees, closed form says 303"]
+
+
+# --------------------------------------------------------------------------
+# a check fails when the construction it checks is wrong; each broken
+# construction is a new circuit, so no masks swept before can hide it
+
+
+def _drop_one_guard(compile_tree):
+    def broken(tree):
+        res = compile_tree(tree)
+        gates = list(res.circuit.gates)
+        for gid, (kind, ch, _) in enumerate(gates):
+            if kind == AND:  # its guard literals come last
+                gates[gid] = Gate(AND, ch[:-1] if len(ch) > 2 else ch[:1] * 2)
+                break
+        c = res.circuit
+        return DtCompileResult(Circuit(c.num_vars, gates, c.output, c.fanin_mode),
+                               res.tree_depth)
+    return broken
+
+
+def _keep_one_fanin3(reduce):
+    def broken(res):
+        c2 = reduce(res)
+        gates = list(c2.gates)
+        for gid, (kind, ch, _) in enumerate(gates):
+            inner = [j for j, x in enumerate(ch) if gates[x].kind == AND]
+            if kind == AND and inner:  # fold one AND back into its consumer
+                j = inner[0]
+                gates[gid] = Gate(AND, ch[:j] + gates[ch[j]].children + ch[j + 1:])
+                break
+        return Circuit(c2.num_vars, gates, c2.output, UNBOUNDED)
+    return broken
+
+
+def _complemented(compile_table):
+    def broken(f):
+        return compile_table(TruthTable(f.num_vars, f.bits ^ ((1 << (1 << f.num_vars)) - 1)))
+    return broken
+
+
+@pytest.mark.parametrize("check_id, name, breaks, failure", [
+    ("tree-compile", "dt_to_circuit", _drop_one_guard, "not equivalent to the tree"),
+    ("tree-fanin2", "fanin2_reduce", _keep_one_fanin3, "fan-in 3"),
+    ("compile-all-functions", "compile_truth_table", _complemented,
+     "n=3 bits=0x0: computes the wrong function"),
+])
+def test_a_wrong_construction_fails_its_check(check_id, name, breaks, failure,
+                                              monkeypatch, capsys):
+    monkeypatch.setattr(verify, name, breaks(getattr(verify, name)))
+    (res,) = verify.run_all(verify.SMOKE, only=[check_id]).checks
+    assert res.violations > 0 and res.line().startswith(f"[FAIL] {check_id}:")
+    assert failure in res.failures[0]
+    assert main(["verify-all", "--level", "smoke", "--only", check_id]) == 1
+    assert f"[FAIL] {check_id}:" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------

@@ -69,11 +69,23 @@ SWEEP_CASES = {
 }
 
 
+def _fresh(c):
+    """A never-swept copy of ``c``: the same gates without its masks."""
+    return Circuit(c.num_vars, c.gates, c.output, c.fanin_mode, validate=False)
+
+
 @pytest.mark.parametrize("name", list(SWEEP_CASES))
 def test_sweeps_match_evaluate_on_every_input(name):
+    # evaluate interprets the never-swept copy gate by gate, and gate_masks
+    # is held to a numpy evaluation, so neither side reads the other's masks
     c = SWEEP_CASES[name]
     n = c.num_vars
-    traces = [evaluate(c, tuple((j >> i) & 1 for i in range(n))) for j in range(1 << n)]
+    fresh = _fresh(c)
+    traces = [evaluate(fresh, tuple((j >> i) & 1 for i in range(n))) for j in range(1 << n)]
+    assert fresh.swept is None
+    ref = gate_lanes(c)
+    assert all((lanes(m, n) == v).all() for m, v in zip(gate_masks(c), ref))
+    assert all([t.gate_values[g] for t in traces] == v.tolist() for g, v in enumerate(ref))
     es = [t.energy for t in traces]
 
     rep = energy_exhaustive(c)
@@ -103,6 +115,8 @@ def test_sweeps_match_evaluate_on_every_input(name):
     assert (pats[0], pats[-1]) == (want[0], want[-1])
     for row in rows:
         assert pats[bisect_left(pats, row)] == row
+    if n <= semantics.MEMO_EVAL_VARS:  # evaluate now reads the swept masks
+        assert [evaluate(c, t.input) for t in traces] == traces
 
 
 # --------------------------------------------------------------------------
@@ -627,10 +641,10 @@ def test_firing_patterns_keep_trailing_zero_bytes():
 def test_firing_patterns_stay_packed():
     # 14 016 patterns of 280 gates: as tuples they would take about 33 MB
     c = _circuit(14, 280, MONOTONE, seed=1)
-    firing_patterns(c)  # the cached variable columns are shared by every sweep
+    firing_patterns(_fresh(c))  # the cached variable columns are shared by every sweep
     tracemalloc.start()
     try:
-        pats = firing_patterns(c)
+        pats = firing_patterns(c)  # its sweep included
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -692,3 +706,82 @@ def test_eval_cap_guard():
     for sweep in (truth_table, energy_exhaustive, gate_masks, firing_patterns):
         with pytest.raises(CapExceeded):
             sweep(c)
+
+
+# --------------------------------------------------------------------------
+# the whole-width masks of a circuit of at most 2^16 inputs are swept once,
+# kept on the circuit, and read by every later sweep
+
+
+def _count_sweeps(monkeypatch) -> list:
+    calls = []
+    sweep = semantics._sweep
+
+    def counting(*args):
+        calls.append(args[0])
+        return sweep(*args)
+
+    monkeypatch.setattr(semantics, "_sweep", counting)
+    return calls
+
+
+def test_every_sweep_of_a_circuit_shares_one_kernel_run(monkeypatch):
+    c = _circuit(10, 60, seed=5)
+    n = c.num_vars
+    ops = sum(g.kind in OP_KINDS for g in c.gates)
+    counted = [k % 3 != 0 for k in range(ops)]
+    at = [0, 5, (1 << n) - 1]
+    xs = [tuple((j >> i) & 1 for i in range(n)) for j in at]
+
+    def everything(circuit):
+        return (truth_table(circuit), energy_exhaustive(circuit),
+                max_firing(circuit, counted=counted), energy_moments(circuit, at),
+                gate_masks(circuit), list(firing_patterns(circuit)),
+                [evaluate(circuit, x) for x in xs])
+
+    want = everything(_fresh(c))
+    calls = _count_sweeps(monkeypatch)
+    got = everything(c)
+    assert calls == [c]
+    assert got[:3] + got[4:] == want[:3] + want[4:]
+    assert (got[3].total, got[3].square_total) == (want[3].total, want[3].square_total)
+    assert got[3].drawn.tolist() == want[3].drawn.tolist()
+
+
+def test_evaluate_never_sweeps(monkeypatch):
+    c = _circuit(10, 60, seed=5)
+    calls = _count_sweeps(monkeypatch)
+    evaluate(c, (1,) * c.num_vars)
+    assert calls == [] and c.swept is None
+
+
+def test_gate_masks_hands_out_a_copy():
+    c = _circuit(8, 40, seed=2)
+    f, rep = truth_table(c), energy_exhaustive(c)
+    masks = gate_masks(c)
+    want = list(masks)
+    masks[c.output] ^= 1
+    masks[:] = [0] * len(masks)
+    assert gate_masks(c) == want and c.swept == tuple(want)
+    assert (truth_table(c), energy_exhaustive(c)) == (f, rep)
+
+
+def test_a_swept_circuit_is_still_refused(monkeypatch):
+    c = _circuit(10, 60, seed=5)
+    gate_masks(c)
+    assert c.swept is not None
+    for sweep in (truth_table, energy_exhaustive, max_firing, gate_masks, firing_patterns,
+                  lambda c, cap: energy_moments(c, [0], cap)):
+        with pytest.raises(CapExceeded):
+            sweep(c, 9)
+    monkeypatch.setattr(semantics, "MASK_BUDGET", (len(c.gates) << 10 >> 3) - 1)
+    for sweep in (gate_masks, firing_patterns):
+        with pytest.raises(CapExceeded, match="MB budget"):
+            sweep(c)
+
+
+def test_circuits_over_several_blocks_keep_no_masks():
+    c = SWEEP_CASES["n17"]
+    truth_table(c), energy_exhaustive(c), energy_moments(c, [0]), gate_masks(c)
+    evaluate(c, (1,) * c.num_vars)
+    assert c.swept is None
