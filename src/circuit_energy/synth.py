@@ -153,7 +153,7 @@ class MintermCascade:
 
 
 @lru_cache(maxsize=32)
-def _cascade(n: int) -> MintermCascade:
+def _cascade(n: int) -> tuple[tuple[Gate, ...], tuple[int, ...]]:
     gates: list[Gate] = [input_gate(v) for v in range(n)]
     gates.append(not_gate(0))
     taps = [n, 0]  # [not x0, x0]
@@ -167,8 +167,7 @@ def _cascade(n: int) -> MintermCascade:
                 new_taps[j + (b << k)] = len(gates)
                 gates.append(and_gate(t, sel))
         taps = new_taps
-    circ = Circuit(n, gates, taps[-1], FANIN2, validate=False)
-    return MintermCascade(circ, n, tuple(taps))
+    return tuple(gates), tuple(taps)
 
 
 def minterm_cascade(n: int, cap: int | None = None) -> MintermCascade:
@@ -180,7 +179,10 @@ def minterm_cascade(n: int, cap: int | None = None) -> MintermCascade:
     if n > limit:
         raise CapExceeded(f"n={n} exceeds the construction cap {limit}")
     check_gate_budget(f"the n={n} cascade", 2 * n + (2 << n) - 4)
-    return _cascade(n)
+    # only the gates are cached: each call gets its own circuit, so the masks
+    # that sweeps keep on it (Circuit.swept) are not kept by the cache
+    gates, taps = _cascade(n)
+    return MintermCascade(Circuit(n, gates, taps[-1], FANIN2, validate=False), n, taps)
 
 
 # --------------------------------------------------------------------------

@@ -54,6 +54,14 @@ def test_cascade_single_variable_costs_one():
     assert energy_exhaustive(minterm_cascade(1).circuit).ec == 1
 
 
+def test_cached_cascade_keeps_no_swept_masks():
+    first = minterm_cascade(5)
+    energy_exhaustive(first.circuit)
+    again = minterm_cascade(5)
+    assert first.circuit.swept is not None and again.circuit.swept is None
+    assert again.circuit.gates is first.circuit.gates and again.taps == first.taps
+
+
 def test_cascade_rejects_bad_sizes():
     with pytest.raises(CapExceeded):
         minterm_cascade(0)
