@@ -6,16 +6,18 @@ extraction with its size/energy tradeoff report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .errors import NoPathFound
-from .ir import INPUT, NOT, OP_KINDS, Circuit, DecisionTree, dt_depth_of, restrict
+from .ir import AND, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree, dt_depth_of, restrict
 from .semantics import (
     DT_CAP,
     EVAL_CAP,
+    _as_input,
     _check_cap,
     dt_depth,
     energy_exhaustive,
-    evaluate,
     firing_patterns,
     gate_masks,
     psens,
@@ -37,50 +39,57 @@ class PositivePath:
 
 
 def find_positive_path(circuit: Circuit, a, i: int, cap: int | None = None) -> PositivePath:
-    """A chain of gates all firing under ``a`` from the INPUT gate of x_i up
-    to the output or to a gate feeding a NOT, breadth-first, preferring lower
-    gate ids.  Requires a_i = 1 and i positively sensitive at ``a`` (oracle
-    checked); a failed search on such an input is a theorem violation.
+    """The chain of gates firing under ``a`` from the first INPUT gate of x_i
+    to the output or to a gate feeding a NOT (naming the lowest such NOT) that
+    a breadth-first search taking each level in id order finds.  Needs a_i = 1
+    and x_i positively sensitive at ``a``; a failure there breaks the theorem.
+    One walk in id order: bits 0 and 1 of a gate's int are its values at ``a``
+    and at ``a`` with x_i cleared (AND ``&``, OR ``|``, NOT ``3 ^ v``).  A gate
+    other than a NOT that fires at ``a`` is one level above its parent, its
+    reached child of least (level, id); the terminal is the reached output or
+    NOT feeder of least (level, id).  A key level * G + id (G gates) orders both.
     """
     _check_cap(circuit.num_vars, cap, EVAL_CAP)
-    a = tuple(int(b) for b in a)
-    trace = evaluate(circuit, a)
-    if not (0 <= i < len(a) and a[i]) or (
-        evaluate(circuit, a[:i] + (0,) + a[i + 1 :]).value == trace.value
-    ):
-        raise NoPathFound(
-            f"x{i} is not positively sensitive at {''.join(map(str, a))}"
-        )
-    start = circuit.input_gate_ids().get(i)
-    if start is None:
-        raise NoPathFound(f"no INPUT gate for x{i}")  # unreachable if sensitive
-    vals = trace.gate_values
-    consumers = circuit.consumers()
-    parent: dict[int, int] = {start: -1}
-    queue = [start]
-    while queue:
-        nxt: list[int] = []
-        for g in queue:
-            feeds_not = [c for c in consumers[g] if circuit.gates[c].kind == NOT]
-            if g == circuit.output or feeds_not:
-                path = []
-                cur = g
-                while cur != -1:
-                    path.append(cur)
-                    cur = parent[cur]
-                path.reverse()
-                if g == circuit.output and not feeds_not:
-                    return PositivePath(tuple(path), "ROOT", None, a, i)
-                if feeds_not:
-                    return PositivePath(tuple(path), "FEEDS_NOT", min(feeds_not), a, i)
-            for c in sorted(consumers[g]):
-                if c not in parent and vals[c] == 1:
-                    parent[c] = g
-                    nxt.append(c)
-        queue = sorted(set(nxt))
-    raise NoPathFound(
-        f"no all-firing path from x{i} under {''.join(map(str, a))}"
-    )
+    a = _as_input(circuit, a)
+    x = [3 * b for b in a]  # each variable at both points
+    if 0 <= i < len(a):  # else, or at a_i = 0, the output check below refuses
+        x[i] = a[i]
+    gates, size = circuit.gates, len(circuit.gates)
+    end = far = size * size  # far: above every key, not reached; end: the terminal's key
+    vals, keys, start, nid = [], [], None, None  # nid: the lowest NOT the terminal feeds
+    val = vals.__getitem__
+    for gid, (kind, ch, arg) in enumerate(gates):
+        k = far  # least key of a reached child, once the gate fires
+        if kind == AND:  # fan-in 2 first, as most gates have it
+            v = vals[ch[0]] & vals[ch[1]] if len(ch) == 2 else reduce(and_, map(val, ch))
+        elif kind == OR:
+            v = vals[ch[0]] | vals[ch[1]] if len(ch) == 2 else reduce(or_, map(val, ch))
+        elif kind == NOT:
+            v = 3 ^ vals[ch[0]]
+            if keys[ch[0]] < end:
+                end, nid = keys[ch[0]], gid
+            ch = ()  # a chain ends below a NOT
+        else:
+            v = x[arg] if kind == INPUT else 3 * arg
+            if v == 1 and start is None:  # the first INPUT gate of x_i, at level 0
+                start, k = gid, -size
+        vals.append(v)
+        if v & 1:
+            for c in ch:
+                if keys[c] < k:
+                    k = keys[c]
+        keys.append((k // size + 1) * size + gid if k < far else far)
+    if vals[circuit.output] in (0, 3):  # the same output at both points
+        raise NoPathFound(f"x{i} is not positively sensitive at {''.join(map(str, a))}")
+    if keys[circuit.output] < end:
+        end, nid = keys[circuit.output], None
+    if end == far:
+        raise NoPathFound(f"no all-firing path from x{i} under {''.join(map(str, a))}")
+    path = [end % size]
+    while end >= size:  # above level 0: down to the parent
+        end = min(map(keys.__getitem__, gates[end % size].children))
+        path.append(end % size)
+    return PositivePath(tuple(reversed(path)), "ROOT" if nid is None else "FEEDS_NOT", nid, a, i)
 
 
 # --------------------------------------------------------------------------

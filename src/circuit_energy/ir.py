@@ -232,14 +232,6 @@ class Circuit:
                 out[c].append(gid)
         return out
 
-    def input_gate_ids(self) -> dict[int, int]:
-        """Map variable index -> id of its INPUT gate (first one if duplicated)."""
-        m: dict[int, int] = {}
-        for gid, g in enumerate(self.gates):
-            if g.kind == INPUT and g.arg not in m:
-                m[g.arg] = gid
-        return m
-
     def max_fanin(self) -> int:
         """Largest AND/OR fan-in present (1 if only NOTs, 0 if no op gates):
         the largest child count, since sources have no children."""

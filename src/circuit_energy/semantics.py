@@ -419,18 +419,22 @@ class EvalTrace:
     energy: int  # firing NOT/AND/OR gates (INPUT and CONST never count)
 
 
+def _as_input(circuit: Circuit, x) -> tuple:
+    """``x`` as a tuple of ints, refused unless a 0/1 vector of length n."""
+    x = tuple(map(int, x))
+    if len(x) != circuit.num_vars:
+        raise LengthMismatch(f"input length {len(x)} != numVars {circuit.num_vars}")
+    if not {0, 1}.issuperset(x):
+        raise LengthMismatch("input must be a 0/1 vector")
+    return x
+
+
 def evaluate(circuit: Circuit, x) -> EvalTrace:
     """Every gate's value and the energy at input ``x``: read off the
     circuit's whole-width masks when it has been swept and n <= MEMO_EVAL_VARS,
     else interpreted gate by gate (evaluate never sweeps 2^n inputs itself).
     The interpreter, like _sweep, tests AND and OR first."""
-    x = tuple(int(b) for b in x)
-    if len(x) != circuit.num_vars:
-        raise LengthMismatch(
-            f"input length {len(x)} != numVars {circuit.num_vars}"
-        )
-    if any(b not in (0, 1) for b in x):
-        raise LengthMismatch("input must be a 0/1 vector")
+    x = _as_input(circuit, x)
     gates = circuit.gates
     masks = circuit.swept
     if masks is not None and circuit.num_vars <= MEMO_EVAL_VARS:

@@ -13,9 +13,11 @@ from circuit_energy import (
     tradeoff_depth_ok,
     truth_table,
 )
-from circuit_energy.corpus import GenSpec, fixture, generate
+from circuit_energy.corpus import CIRCUIT, FORMULA, MONOTONE, GenSpec, fixture, generate
+from circuit_energy.ir import AND, OR, FANIN2, UNBOUNDED, Formula, Gate
 from circuit_energy.semantics import dt_depth
 from circuit_energy.textio import parse_netlist
+from path_ref import find_positive_path as bfs_path
 
 AND2 = "INPUT x0\nINPUT x1\ng = AND x0 x1\nOUTPUT g\n"
 WITH_NOT = (
@@ -78,6 +80,77 @@ def test_positive_path_prefers_low_gate_ids():
     )
     p = find_positive_path(c, (1, 0), 0)
     assert p.gate_ids == (0, 2, 4)
+
+
+def _outcome(search, c, a, i):
+    """The path's fields, or the exception's type and message."""
+    try:
+        p = search(c, a, i)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return p.gate_ids, p.terminal, p.not_gate_id, p.input, p.var_index
+
+
+def test_positive_path_equals_the_breadth_first_search():
+    # every (a, i), i from -1 to n, over seeded circuits of every shape and mode
+    found = {"ROOT": 0, "FEEDS_NOT": 0, NoPathFound: 0}
+    for s in range(126):
+        n = 1 + s % 7
+        spec = GenSpec(seed=s, num_vars=n, size_budget=2 + (s * 5) % 19,
+                       neg_density=0.0 if s % 3 == 1 else 0.15 + (s % 4) / 8,
+                       shape=(CIRCUIT, MONOTONE, FORMULA)[s % 3],
+                       fanin_mode=(FANIN2, UNBOUNDED)[s // 7 % 2])
+        c = generate(spec)
+        for a_int in range(1 << n):
+            a = tuple((a_int >> j) & 1 for j in range(n))
+            for i in range(-1, n + 1):
+                want = _outcome(bfs_path, c, a, i)
+                assert _outcome(find_positive_path, c, a, i) == want, (spec, a, i)
+                found[want[0] if len(want) == 2 else want[1]] += 1
+    assert min(found.values()) > 100, found
+
+
+@pytest.mark.parametrize("text, a, i, want", [
+    # two routes of equal length: the lowest-id child at the least level is
+    # the parent, whatever order the children are listed in
+    ("INPUT x0\nINPUT x1\np = OR x1 x0\nq = OR x0 x1\no = AND q p\nOUTPUT o\n",
+     (1, 0), 0, ((0, 2, 4), "ROOT", None)),
+    # a NOT feeder and the output on one level: the lower id ends the chain
+    ("INPUT x0\nINPUT x1\nf = OR x1 x0\nnf = NOT f\no = AND x0 x1\nOUTPUT o\n",
+     (1, 1), 0, ((0, 2), "FEEDS_NOT", 3)),
+    ("INPUT x0\nINPUT x1\no = AND x0 x1\nf = OR x1 x0\nnf = NOT f\nOUTPUT o\n",
+     (1, 1), 0, ((0, 2), "ROOT", None)),
+    # the output feeds NOTs itself: FEEDS_NOT, naming the lower NOT
+    ("INPUT x0\nINPUT x1\no = AND x0 x1\nn1 = NOT o\nn2 = NOT o\nOUTPUT o\n",
+     (1, 1), 1, ((1, 2), "FEEDS_NOT", 3)),
+    # a wide AND, reached through an OR below it
+    ("INPUT x0\nINPUT x1\nINPUT x2\nINPUT x3\nb = OR x3 x2\no = AND x0 b x1\n"
+     "OUTPUT o\n", (1, 1, 1, 0), 2, ((2, 4, 5), "ROOT", None)),
+])
+def test_positive_path_ties_and_edges(text, a, i, want):
+    c = parse_netlist(text)
+    p = find_positive_path(c, a, i)
+    assert (p.gate_ids, p.terminal, p.not_gate_id) == want
+    assert _outcome(find_positive_path, c, a, i) == _outcome(bfs_path, c, a, i)
+
+
+def test_positive_path_starts_at_the_first_input_gate():
+    # (x0 OR x1) AND x0: the second INPUT gate of x0 is one level nearer the
+    # output, but the search starts at the first
+    f = Formula(2, [Gate("INPUT", (), 0), Gate("INPUT", (), 1), Gate(OR, (0, 1)),
+                    Gate("INPUT", (), 0), Gate(AND, (2, 3))], 4)
+    p = find_positive_path(f, (1, 0), 0)
+    assert (p.gate_ids, p.terminal) == ((0, 2, 4), "ROOT")
+    assert _outcome(find_positive_path, f, (1, 0), 0) == _outcome(bfs_path, f, (1, 0), 0)
+
+
+@pytest.mark.parametrize("a, i", [((1, 1), -1), ((1, 1), 2), ((0, 1), 0)])
+def test_positive_path_refuses_an_index_out_of_range_or_at_zero(a, i):
+    c = parse_netlist(AND2)
+    bits = "".join(map(str, a))
+    with pytest.raises(NoPathFound, match=f"^x{i} is not positively sensitive at {bits}$"):
+        find_positive_path(c, a, i)
+    assert _outcome(find_positive_path, c, a, i) == _outcome(bfs_path, c, a, i)
 
 
 def test_psens_bound_on_big_and():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -447,11 +448,30 @@ def _complemented(compile_table):
     return broken
 
 
+def _drop_last_gate(search):
+    def broken(c, a, i, cap=None):
+        path = search(c, a, i, cap)
+        ids = path.gate_ids
+        return replace(path, gate_ids=ids[:-1]) if len(ids) > 1 else path
+    return broken
+
+
+def _not_separating(run):
+    def broken(instance, cap=None):
+        tr = run(instance, cap)
+        wrong = [j for j, (x, y) in enumerate(zip(instance.a, instance.b)) if not (x and not y)]
+        return replace(tr, result=wrong[0]) if wrong else tr
+    return broken
+
+
 @pytest.mark.parametrize("check_id, name, breaks, failure", [
     ("tree-compile", "dt_to_circuit", _drop_one_guard, "not equivalent to the tree"),
     ("tree-fanin2", "fanin2_reduce", _keep_one_fanin3, "fan-in 3"),
     ("compile-all-functions", "compile_truth_table", _complemented,
      "n=3 bits=0x0: computes the wrong function"),
+    ("positive-paths", "find_positive_path", _drop_last_gate,
+     "seed=0 a=0x3 x0: ROOT path does not end at the output"),
+    ("kw-bits", "run_protocol", _not_separating, "does not separate"),
 ])
 def test_a_wrong_construction_fails_its_check(check_id, name, breaks, failure,
                                               monkeypatch, capsys):
