@@ -14,7 +14,7 @@ from circuit_energy import (
     truth_table,
 )
 from circuit_energy.corpus import CIRCUIT, FORMULA, MONOTONE, GenSpec, fixture, generate
-from circuit_energy.ir import AND, OR, FANIN2, UNBOUNDED, Formula, Gate
+from circuit_energy.ir import AND, FANIN2, OR, UNBOUNDED, Formula, Gate
 from circuit_energy.semantics import dt_depth
 from circuit_energy.textio import parse_netlist
 from path_ref import find_positive_path as bfs_path
@@ -137,8 +137,8 @@ def test_positive_path_ties_and_edges(text, a, i, want):
 def test_positive_path_starts_at_the_first_input_gate():
     # (x0 OR x1) AND x0: the second INPUT gate of x0 is one level nearer the
     # output, but the search starts at the first
-    f = Formula(2, [Gate("INPUT", (), 0), Gate("INPUT", (), 1), Gate(OR, (0, 1)),
-                    Gate("INPUT", (), 0), Gate(AND, (2, 3))], 4)
+    f = Formula(2, [Gate(INPUT, (), 0), Gate(INPUT, (), 1), Gate(OR, (0, 1)),
+                    Gate(INPUT, (), 0), Gate(AND, (2, 3))], 4)
     p = find_positive_path(f, (1, 0), 0)
     assert (p.gate_ids, p.terminal) == ((0, 2, 4), "ROOT")
     assert _outcome(find_positive_path, f, (1, 0), 0) == _outcome(bfs_path, f, (1, 0), 0)
