@@ -10,7 +10,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .errors import NoPathFound
-from .ir import AND, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree, dt_depth_of, restrict
+from .ir import AND, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree, dt_depth_of
 from .semantics import (
     DT_CAP,
     EVAL_CAP,
@@ -22,6 +22,7 @@ from .semantics import (
     gate_masks,
     psens,
     truth_table,
+    var_masks,
 )
 
 
@@ -40,14 +41,16 @@ class PositivePath:
 
 def find_positive_path(circuit: Circuit, a, i: int, cap: int | None = None) -> PositivePath:
     """The chain of gates firing under ``a`` from the first INPUT gate of x_i
-    to the output or to a gate feeding a NOT (naming the lowest such NOT) that
-    a breadth-first search taking each level in id order finds.  Needs a_i = 1
-    and x_i positively sensitive at ``a``; a failure there breaks the theorem.
-    One walk in id order: bits 0 and 1 of a gate's int are its values at ``a``
-    and at ``a`` with x_i cleared (AND ``&``, OR ``|``, NOT ``3 ^ v``).  A gate
-    other than a NOT that fires at ``a`` is one level above its parent, its
-    reached child of least (level, id); the terminal is the reached output or
-    NOT feeder of least (level, id).  A key level * G + id (G gates) orders both.
+    that reaches a terminal, the output or a gate feeding a NOT (naming the
+    lowest such NOT), that a breadth-first search taking each level in id
+    order finds.  Needs a_i = 1 and x_i positively sensitive at ``a``; a
+    failure there breaks the theorem.  One walk in id order: bits 0 and 1 of
+    a gate's int are its values at ``a`` and at ``a`` with x_i cleared (AND
+    ``&``, OR ``|``, NOT ``3 ^ v``).  The r-th INPUT gate of x_i is at level 0
+    of rank r; a gate other than a NOT that fires at ``a`` is one level above
+    its parent, its reached child of least (rank, level, id), in that rank;
+    the terminal is the reached output or NOT feeder of least (rank, level,
+    id).  A key (r * G + level) * G + id (G gates) orders both.
     """
     _check_cap(circuit.num_vars, cap, EVAL_CAP)
     a = _as_input(circuit, a)
@@ -55,8 +58,8 @@ def find_positive_path(circuit: Circuit, a, i: int, cap: int | None = None) -> P
     if 0 <= i < len(a):  # else, or at a_i = 0, the output check below refuses
         x[i] = a[i]
     gates, size = circuit.gates, len(circuit.gates)
-    end = far = size * size  # far: above every key, not reached; end: the terminal's key
-    vals, keys, start, nid = [], [], None, None  # nid: the lowest NOT the terminal feeds
+    end = far = size**3  # far: above every key, not reached; end: the terminal's key
+    vals, keys, rank, nid = [], [], 0, None  # nid: the lowest NOT the terminal feeds
     val = vals.__getitem__
     for gid, (kind, ch, arg) in enumerate(gates):
         k = far  # least key of a reached child, once the gate fires
@@ -71,8 +74,8 @@ def find_positive_path(circuit: Circuit, a, i: int, cap: int | None = None) -> P
             ch = ()  # a chain ends below a NOT
         else:
             v = x[arg] if kind == INPUT else 3 * arg
-            if v == 1 and start is None:  # the first INPUT gate of x_i, at level 0
-                start, k = gid, -size
+            if v == 1:  # an INPUT gate of x_i, at level 0 of the next rank
+                k, rank = (rank * size - 1) * size, rank + 1
         vals.append(v)
         if v & 1:
             for c in ch:
@@ -86,7 +89,7 @@ def find_positive_path(circuit: Circuit, a, i: int, cap: int | None = None) -> P
     if end == far:
         raise NoPathFound(f"no all-firing path from x{i} under {''.join(map(str, a))}")
     path = [end % size]
-    while end >= size:  # above level 0: down to the parent
+    while end // size % size:  # above level 0: down to the parent
         end = min(map(keys.__getitem__, gates[end % size].children))
         path.append(end % size)
     return PositivePath(tuple(reversed(path)), "ROOT" if nid is None else "FEEDS_NOT", nid, a, i)
@@ -145,66 +148,104 @@ def dt_from_patterns(circuit: Circuit, cap: int | None = None) -> TradeoffReport
     patterns, i.e. across all inputs of the current restriction; querying a
     gate's variables makes it constant, so every round settles at least one
     gate and kills at least one pattern.
+
+    The circuit is swept once: a node of the tree reads each gate's mask
+    ANDed with ``alive``, the inputs that agree with its assignment.  Below
+    the root, the pick skips the gates that ``restrict`` would drop from the
+    restricted circuit (those left outside the output cone once forced gates
+    fold to constants); at the root every gate counts, dead ones too.
     """
     n = circuit.num_vars
-    stats_size = sum(1 for g in circuit.gates if g.kind in OP_KINDS)
+    gates, out = circuit.gates, circuit.output
+    ops = [gid for gid, g in enumerate(gates) if g.kind in OP_KINDS]
     # firing_patterns prices its whole-width masks, so an oversized circuit
     # is refused before the energy sweep runs
     t = len(firing_patterns(circuit, cap))
     energy = energy_exhaustive(circuit, cap).ec
     ell = max(1, circuit.max_fanin())
+    masks = gate_masks(circuit, cap)
+    columns = var_masks(n)
 
-    def extract(c: Circuit):
-        masks = gate_masks(c, cap)
-        full = (1 << (1 << n)) - 1
-        out = masks[c.output]
-        if out == 0:
+    def kept(assignment: dict[int, int]) -> list[bool]:
+        """The gates ``restrict(circuit, assignment)`` keeps: forced gates
+        fold as there, and the output cone stops at them.  A gate's value is
+        0, 3 (1) or 2 (not forced): bit 1 says it can be 1 and bit 0 that it
+        must, so AND is ``&``, OR is ``|`` and NOT swaps and flips the bits."""
+        x = [2] * n
+        for v, b in assignment.items():
+            x[v] = 3 * b
+        vals: list[int] = []
+        val = vals.__getitem__
+        for kind, ch, arg in gates:
+            if kind == AND:
+                v = vals[ch[0]] & vals[ch[1]] if len(ch) == 2 else reduce(and_, map(val, ch))
+            elif kind == OR:
+                v = vals[ch[0]] | vals[ch[1]] if len(ch) == 2 else reduce(or_, map(val, ch))
+            elif kind == NOT:
+                v = (3, None, 2, 0)[vals[ch[0]]]
+            else:
+                v = x[arg] if kind == INPUT else 3 * arg
+            vals.append(v)
+        live = [False] * len(gates)
+        stack = [out]
+        while stack:
+            gid = stack.pop()
+            if not live[gid]:
+                live[gid] = True
+                if vals[gid] == 2:
+                    stack.extend(gates[gid].children)
+        return live
+
+    def extract(assignment: dict[int, int], alive: int):
+        value = masks[out] & alive
+        if value == 0:
             return 0
-        if out == full:
+        if value == alive:
             return 1
 
         def settled(gid: int) -> bool:
-            return masks[gid] in (0, full)
+            m = masks[gid] & alive
+            return m == 0 or m == alive
 
+        live = kept(assignment) if assignment else [True] * len(gates)
         pick = None
-        for gid, g in enumerate(c.gates):
-            if g.kind in OP_KINDS and not settled(gid):
-                if all(
-                    c.gates[ch].kind == INPUT or settled(ch) for ch in g.children
-                ):
+        for gid in ops:
+            if live[gid] and not settled(gid):
+                g = gates[gid]
+                if all(gates[ch].kind == INPUT or settled(ch) for ch in g.children):
                     pick = g
                     break
         if pick is None:
             # the output must hang off a live INPUT gate directly
-            qvars = [c.gates[c.output].arg]
+            qvars = [gates[out].arg]
         else:
             qvars = sorted(
                 {
-                    c.gates[ch].arg
+                    gates[ch].arg
                     for ch in pick.children
-                    if c.gates[ch].kind == INPUT and not settled(ch)
+                    if gates[ch].kind == INPUT and not settled(ch)
                 }
             )
 
-        def subtree(idx: int, assignment: dict[int, int]):
+        def subtree(idx: int, assignment: dict[int, int], alive: int):
             if idx == len(qvars):
-                return extract(restrict(c, assignment))
+                return extract(assignment, alive)
             v = qvars[idx]
             return (
                 v,
-                subtree(idx + 1, {**assignment, v: 0}),
-                subtree(idx + 1, {**assignment, v: 1}),
+                subtree(idx + 1, {**assignment, v: 0}, alive & ~columns[v]),
+                subtree(idx + 1, {**assignment, v: 1}, alive & columns[v]),
             )
 
-        return subtree(0, {})
+        return subtree(0, assignment, alive)
 
-    root = extract(circuit)
+    root = extract({}, (1 << (1 << n)) - 1)
     tree = DecisionTree(n, root)
     oracle = None
     if n <= DT_CAP:
         oracle = dt_depth(truth_table(circuit, cap)).depth
     return TradeoffReport(
-        stats_size, energy, t, ell, tree, oracle
+        len(ops), energy, t, ell, tree, oracle
     )
 
 

@@ -41,8 +41,9 @@ derived from the truth table.  Truth tables put the output mask of each
 block at the block's own index, choosing their order over the output cone.
 energy_moments reads exact energy sums and sampled per-input energies off
 the same planes, without a per-input array.  gate_masks, which
-firing_patterns needs, returns a copy of the kept masks at n <= 16 and
-sweeps one block of 2^n above; either way it prices the masks against
+firing_patterns and bounds.dt_from_patterns need (the latter reads every
+node of its tree off one call), returns a copy of the kept masks at n <= 16
+and sweeps one block of 2^n above; either way it prices the masks against
 MASK_BUDGET first.
 firing_patterns returns its distinct patterns as sorted packed rows
 (Patterns), which become tuples only as they are read.  It packs the rows

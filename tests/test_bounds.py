@@ -18,6 +18,7 @@ from circuit_energy.ir import AND, FANIN2, OR, UNBOUNDED, Formula, Gate
 from circuit_energy.semantics import dt_depth
 from circuit_energy.textio import parse_netlist
 from path_ref import find_positive_path as bfs_path
+from patterns_ref import dt_from_patterns as resweep_patterns
 
 AND2 = "INPUT x0\nINPUT x1\ng = AND x0 x1\nOUTPUT g\n"
 WITH_NOT = (
@@ -144,6 +145,16 @@ def test_positive_path_starts_at_the_first_input_gate():
     assert _outcome(find_positive_path, f, (1, 0), 0) == _outcome(bfs_path, f, (1, 0), 0)
 
 
+def test_positive_path_falls_back_to_a_later_input_gate():
+    # (x0 AND x1) OR x0 at (1, 0): the first leaf of x0 reaches no terminal,
+    # since x0 AND x1 does not fire, so the chain starts at the second
+    f = Formula(2, [Gate(INPUT, (), 0), Gate(INPUT, (), 1), Gate(AND, (0, 1)),
+                    Gate(INPUT, (), 0), Gate(OR, (2, 3))], 4)
+    p = find_positive_path(f, (1, 0), 0)
+    assert (p.gate_ids, p.terminal) == ((3, 4), "ROOT")
+    assert _outcome(find_positive_path, f, (1, 0), 0) == _outcome(bfs_path, f, (1, 0), 0)
+
+
 @pytest.mark.parametrize("a, i", [((1, 1), -1), ((1, 1), 2), ((0, 1), 0)])
 def test_positive_path_refuses_an_index_out_of_range_or_at_zero(a, i):
     c = parse_netlist(AND2)
@@ -216,6 +227,34 @@ def test_pattern_tree_matches_function_on_corpus():
         assert rep.pattern_count <= max(rep.size, 1) ** rep.energy + 1
         if rep.dt_oracle is not None:
             assert rep.dt_oracle <= rep.max_fanin * rep.pattern_count
+
+
+def _tradeoff(rep):
+    """Every field of a TradeoffReport, the tree as its root."""
+    tree = rep.extracted_tree
+    return (rep.size, rep.energy, rep.pattern_count, rep.max_fanin,
+            tree.num_vars, tree.root, rep.dt_oracle)
+
+
+def test_pattern_tree_equals_the_restrict_and_resweep_extraction():
+    # seeded circuits of every shape and mode; each side gets its own copy,
+    # so neither reads masks the other swept
+    for s in range(3064):
+        spec = GenSpec(seed=s, num_vars=1 + s % 5, size_budget=2 + (s * 7) % 23,
+                       neg_density=0.0 if s % 3 == 1 else 0.15 + (s % 4) / 8,
+                       shape=(CIRCUIT, MONOTONE, FORMULA)[s % 3],
+                       fanin_mode=(FANIN2, UNBOUNDED)[s // 5 % 2])
+        want = _tradeoff(resweep_patterns(generate(spec)))
+        assert _tradeoff(dt_from_patterns(generate(spec))) == want, spec
+
+
+def test_pattern_tree_counts_dead_gates_at_the_root_only():
+    # NOT x1 is outside the output cone, yet the unrestricted circuit keeps
+    # it, so the root queries x1; below, x1 = 1 leaves AND x0 1 to pick
+    text = "INPUT x0\nINPUT x1\nn = NOT x1\no = AND x0 x1\nOUTPUT o\n"
+    rep = dt_from_patterns(parse_netlist(text))
+    assert rep.extracted_tree.root == (1, 0, (0, 0, 1))
+    assert _tradeoff(rep) == _tradeoff(resweep_patterns(parse_netlist(text)))
 
 
 def test_tradeoff_bound_on_the_cascade():

@@ -9,7 +9,7 @@ import pytest
 
 from circuit_energy import TruthTable, bounds, cli, verify
 from circuit_energy.cli import main
-from circuit_energy.ir import AND, UNBOUNDED, Circuit, Gate
+from circuit_energy.ir import AND, NOT, UNBOUNDED, Circuit, DecisionTree, Gate
 from circuit_energy.synth import DtCompileResult
 
 OR2 = "INPUT x0\nINPUT x1\ng = OR x0 x1\nOUTPUT g\n"
@@ -464,6 +464,26 @@ def _not_separating(run):
     return broken
 
 
+def _flip_first_leaf(extract):
+    def flip(node):  # the leaf reached by taking every low branch
+        return 1 - node if isinstance(node, int) else (node[0], flip(node[1]), node[2])
+
+    def broken(c, cap=None):
+        rep = extract(c, cap)
+        tree = rep.extracted_tree
+        return replace(rep, extracted_tree=DecisionTree(tree.num_vars, flip(tree.root)))
+    return broken
+
+
+def _two_more_nots(merge):
+    def broken(c0, c1, i):
+        m = merge(c0, c1, i)
+        k = len(m.gates)
+        gates = [*m.gates, Gate(NOT, (m.output,)), Gate(NOT, (k,))]
+        return Circuit(m.num_vars, gates, k + 1, m.fanin_mode)
+    return broken
+
+
 @pytest.mark.parametrize("check_id, name, breaks, failure", [
     ("tree-compile", "dt_to_circuit", _drop_one_guard, "not equivalent to the tree"),
     ("tree-fanin2", "fanin2_reduce", _keep_one_fanin3, "fan-in 3"),
@@ -472,6 +492,10 @@ def _not_separating(run):
     ("positive-paths", "find_positive_path", _drop_last_gate,
      "seed=0 a=0x3 x0: ROOT path does not end at the output"),
     ("kw-bits", "run_protocol", _not_separating, "does not separate"),
+    ("pattern-tree", "dt_from_patterns", _flip_first_leaf,
+     "seed=0: extracted tree differs from the circuit"),
+    ("connector-merge", "connector_merge", _two_more_nots,
+     "seed=0 x0: negs 3 != 1 + max(0, 0)"),
 ])
 def test_a_wrong_construction_fails_its_check(check_id, name, breaks, failure,
                                               monkeypatch, capsys):

@@ -11,9 +11,11 @@ benchmark's own ``run_seconds``.  The file holds the machine and each
 checkout's commit; per workload the median, interquartile range and per-seed
 values (in seed order, so that seed s of one checkout pairs with seed s of
 another) of every end-to-end metric, rescaled as ``run.py`` reports it
-beside unscaled; the calibration medians of the runs; and the same three
-figures of every traced per-layer ``self_s``, since one traced cycle alone
-can move by a quarter on unchanged code.
+beside unscaled; the instances the runs attempted, in total and per seed
+(``run.py`` keeps every latency, so ``peak_rss_mb`` grows with them); the
+calibration medians of the runs; and the same three figures of every traced
+per-layer ``self_s``, since one traced cycle alone can move by a quarter on
+unchanged code.
 ``run.py`` itself is run unchanged from each checkout.  Before the
 workloads, each checkout runs ``python -m circuit_energy verify-all --level
 full --json`` 3 times, the checkouts alternating; the file keeps each
@@ -105,6 +107,7 @@ def summarize(records: list[dict]) -> dict:
         "runs": len(records),
         "failed": sum(r["failed"] for r in records),
         "attempted": sum(r["attempted"] for r in records),
+        "attempted_per_seed": [r["attempted"] for r in records],
         "rescaled": {m: spread(v) for m, v in rescaled.items()},
         "unscaled": {m: spread(v) for m, v in unscaled.items()},
         "calibration_medians": [r["notes"]["calibration"]["median"] for r in records],
