@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from circuit_energy import (
@@ -33,7 +35,7 @@ from circuit_energy import (
     substitute_leaf,
     truth_table,
 )
-from circuit_energy.corpus import fixture
+from circuit_energy.corpus import CIRCUIT, FORMULA, MONOTONE, GenSpec, fixture, generate
 from circuit_energy.ir import fold
 
 
@@ -174,6 +176,58 @@ def test_restrict_to_constant_collapses():
     r = restrict(c, {0: 0})
     assert truth_table(r).bits == 0
     assert len(r.gates) < len(c.gates)
+
+
+X0, X1, X2 = input_gate(0), input_gate(1), input_gate(2)
+C0, C1 = const_gate(0), const_gate(1)
+
+
+@pytest.mark.parametrize("n, gates, out, assignment, want, want_out", [
+    (2, [X0, X1, and_gate(0, 1)], 2, {0: 0}, [C0], 0),
+    (2, [X0, X1, and_gate(0, 1)], 2, {0: 1, 1: 1}, [C1], 0),
+    (2, [X0, X1, or_gate(0, 1)], 2, {1: 1}, [C1], 0),
+    (2, [X0, X1, or_gate(0, 1)], 2, {0: 0, 1: 0}, [C0], 0),
+    (1, [X0, not_gate(0)], 1, {0: 1}, [C0], 0),
+    (2, [X0, X1, and_gate(0, 1), not_gate(2)], 3, {0: 1},
+     [C1, X1, and_gate(0, 1), not_gate(2)], 3),
+    (1, [C1, X0, or_gate(0, 1)], 2, {}, [C1], 0),
+    (1, [C0, X0, or_gate(0, 1)], 2, {}, [C0, X0, or_gate(0, 1)], 2),
+    (2, [X0, X1, or_gate(0, 1)], 2, {0: 0}, [C0, X1, or_gate(0, 1)], 2),
+    (3, [X0, X1, X2, and_gate(0, 1, 2)], 3, {1: 1}, [X0, C1, X2, and_gate(0, 1, 2)], 3),
+    (3, [X0, X1, X2, and_gate(0, 1), or_gate(3, 2)], 4, {0: 0}, [X2, C0, or_gate(1, 0)], 2),
+], ids=["and-forced-0", "and-all-1", "or-forced-1", "or-all-0", "not-over-forced",
+        "not-over-free", "const-forcing", "const-free", "unassigned-input",
+        "fanin3-keeps-children", "cone-stops-at-forced"])
+def test_restrict_folds_each_rule(n, gates, out, assignment, want, want_out):
+    r = restrict(Circuit(n, gates, out), assignment)
+    assert (list(r.gates), r.output, r.num_vars, type(r)) == (want, want_out, n, Circuit)
+
+
+def test_restrict_refuses_a_variable_out_of_range():
+    with pytest.raises(VarOutOfRange):
+        restrict(Circuit(1, [X0], 0), {1: 0})
+
+
+def test_restrict_is_pinned_byte_for_byte():
+    # 600 seeded circuits, monotone circuits and formulas, each restricted by
+    # nothing, by its first and by its last variable, and by its first two:
+    # pins the folded gates, their order, the output id and the class
+    h = hashlib.sha256()
+    pairs = 0
+    for s in range(600):
+        n = 1 + s % 6
+        c = generate(GenSpec(seed=s, num_vars=n, size_budget=2 + (s * 7) % 23,
+                             neg_density=0.0 if s % 3 == 1 else 0.15 + (s % 4) / 8,
+                             shape=(CIRCUIT, MONOTONE, FORMULA)[s % 3],
+                             fanin_mode=(FANIN2, UNBOUNDED)[s // 5 % 2]))
+        b, d = s % 2, s // 2 % 2
+        for assignment in ({}, {0: b}, {n - 1: b}, {0: b, 1: d}):
+            if max(assignment, default=0) < n:
+                r = restrict(c, assignment)
+                h.update(repr((type(r).__name__, r.gates, r.output)).encode())
+                pairs += 1
+    assert pairs == 2300
+    assert h.hexdigest() == "f3357cc85e8c59703d560e1b11fa7958faeef43459dae543af290cda289cd09a"
 
 
 def test_formula_from_tree_lays_out_post_order():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -692,6 +693,21 @@ def test_dt_depth_returns_an_optimal_tree():
     got = TruthTable.from_callable(f.num_vars, res.optimal_tree.evaluate)
     assert got == f
     assert res.optimal_tree.depth() == res.depth
+
+
+def test_dt_depth_is_pinned_on_small_and_seeded_tables():
+    # every table of n <= 3 variables and 400 seeded tables of n = 4-5: pins
+    # each depth and the optimal tree that the smallest-variable tie-break picks
+    h = hashlib.sha256()
+    tables = [TruthTable(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
+    rng = random.Random(20)
+    tables += [TruthTable(n, rng.getrandbits(1 << n)) for n in (4, 5) for _ in range(200)]
+    for f in tables:
+        res = dt_depth(f)
+        assert res.optimal_tree.depth() == res.depth
+        h.update(repr((f.num_vars, f.bits, res.depth, res.optimal_tree.root)).encode())
+    assert len(tables) == 678
+    assert h.hexdigest() == "ce65bf1fcbed58c06060581f6849ce7945328f46dc0cf7bb7360c04a4a4c6730"
 
 
 def test_equivalent_pads_to_common_width():
