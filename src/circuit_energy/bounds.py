@@ -10,7 +10,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .errors import NoPathFound
-from .ir import AND, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree, dt_depth_of
+from .ir import AND, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree, dt_depth_of, forced
 from .semantics import (
     DT_CAP,
     EVAL_CAP,
@@ -151,9 +151,9 @@ def dt_from_patterns(circuit: Circuit, cap: int | None = None) -> TradeoffReport
 
     The circuit is swept once: a node of the tree reads each gate's mask
     ANDed with ``alive``, the inputs that agree with its assignment.  Below
-    the root, the pick skips the gates that ``restrict`` would drop from the
-    restricted circuit (those left outside the output cone once forced gates
-    fold to constants); at the root every gate counts, dead ones too.
+    the root, the pick reads only the output cone that ``forced`` leaves
+    under the assignment, which stops at the gates it forces; at the root
+    every gate counts, dead ones too.
     """
     n = circuit.num_vars
     gates, out = circuit.gates, circuit.output
@@ -166,36 +166,6 @@ def dt_from_patterns(circuit: Circuit, cap: int | None = None) -> TradeoffReport
     masks = gate_masks(circuit, cap)
     columns = var_masks(n)
 
-    def kept(assignment: dict[int, int]) -> list[bool]:
-        """The gates ``restrict(circuit, assignment)`` keeps: forced gates
-        fold as there, and the output cone stops at them.  A gate's value is
-        0, 3 (1) or 2 (not forced): bit 1 says it can be 1 and bit 0 that it
-        must, so AND is ``&``, OR is ``|`` and NOT swaps and flips the bits."""
-        x = [2] * n
-        for v, b in assignment.items():
-            x[v] = 3 * b
-        vals: list[int] = []
-        val = vals.__getitem__
-        for kind, ch, arg in gates:
-            if kind == AND:
-                v = vals[ch[0]] & vals[ch[1]] if len(ch) == 2 else reduce(and_, map(val, ch))
-            elif kind == OR:
-                v = vals[ch[0]] | vals[ch[1]] if len(ch) == 2 else reduce(or_, map(val, ch))
-            elif kind == NOT:
-                v = (3, None, 2, 0)[vals[ch[0]]]
-            else:
-                v = x[arg] if kind == INPUT else 3 * arg
-            vals.append(v)
-        live = [False] * len(gates)
-        stack = [out]
-        while stack:
-            gid = stack.pop()
-            if not live[gid]:
-                live[gid] = True
-                if vals[gid] == 2:
-                    stack.extend(gates[gid].children)
-        return live
-
     def extract(assignment: dict[int, int], alive: int):
         value = masks[out] & alive
         if value == 0:
@@ -207,7 +177,7 @@ def dt_from_patterns(circuit: Circuit, cap: int | None = None) -> TradeoffReport
             m = masks[gid] & alive
             return m == 0 or m == alive
 
-        live = kept(assignment) if assignment else [True] * len(gates)
+        live = forced(circuit, assignment)[1] if assignment else [True] * len(gates)
         pick = None
         for gid in ops:
             if live[gid] and not settled(gid):

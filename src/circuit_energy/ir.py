@@ -5,8 +5,9 @@ A circuit is a topologically ordered list of gates over the basis
 and equal the gate's position in the list; children always point backwards.
 Evaluation-order things (energy, truth tables) live in ``semantics``; this
 module owns the data model, validation, and structural surgery
-(restrict / structural_stats, and for formulas one copy kernel,
-``copy_subformula``, behind replace_subformula / substitute_leaf).
+(one forcing fold, ``forced``, behind restrict and the firing-pattern tree;
+structural_stats; and for formulas one copy kernel, ``copy_subformula``,
+behind replace_subformula / substitute_leaf).
 
 Every tree walk of the package is one call of ``fold``, a post-order fold on
 an explicit stack: the formula copy, the tuple syntax, the GK decomposition,
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -224,14 +226,6 @@ class Circuit:
 
     # -- small structural helpers -----------------------------------------
 
-    def consumers(self) -> list[list[int]]:
-        """For each gate, the ids of gates that list it as a child."""
-        out: list[list[int]] = [[] for _ in self.gates]
-        for gid, g in enumerate(self.gates):
-            for c in g.children:
-                out[c].append(gid)
-        return out
-
     def max_fanin(self) -> int:
         """Largest AND/OR fan-in present (1 if only NOTs, 0 if no op gates):
         the largest child count, since sources have no children."""
@@ -376,70 +370,68 @@ def fold(root, expand, join):
 # restriction (with constant folding) and leaf substitution
 
 
+def forced(circuit: Circuit, assignment: dict[int, int]) -> tuple[list[int], list[bool]]:
+    """``(values, live)``: what pinning the variables of ``assignment``
+    forces, and the output cone left once the forced gates fold.
+
+    ``values[g]`` is 0, 3 (forced to 1) or 2 (not forced): bit 1 says gate g
+    can be 1 and bit 0 that it must, so AND is ``&``, OR is ``|`` and NOT
+    swaps and flips the bits.  ``live[g]`` says g is in the output cone,
+    which stops at a forced gate.
+    """
+    n = circuit.num_vars
+    x = [2] * n
+    for v, b in assignment.items():
+        if not 0 <= v < n:
+            raise VarOutOfRange(f"cannot restrict x{v} in an n={n} circuit")
+        x[v] = 3 * b
+    gates = circuit.gates
+    values: list[int] = []
+    val = values.__getitem__
+    for kind, ch, arg in gates:
+        if kind == AND:  # fan-in 2 first, as most gates have it
+            v = values[ch[0]] & values[ch[1]] if len(ch) == 2 else reduce(and_, map(val, ch))
+        elif kind == OR:
+            v = values[ch[0]] | values[ch[1]] if len(ch) == 2 else reduce(or_, map(val, ch))
+        elif kind == NOT:
+            v = (3, None, 2, 0)[values[ch[0]]]
+        else:
+            v = x[arg] if kind == INPUT else 3 * arg
+        values.append(v)
+    live = [False] * len(gates)
+    stack = [circuit.output]
+    while stack:
+        gid = stack.pop()
+        if not live[gid]:
+            live[gid] = True
+            if values[gid] == 2:
+                stack.extend(gates[gid].children)
+    return values, live
+
+
 def restrict(circuit: Circuit, assignment: dict[int, int]) -> Circuit:
     """Pin variables to constants, fold forced gates, drop dead gates.
 
-    Folding only rewrites gate *kinds*: an AND with one child forced to 1 and
-    two live children keeps all three children (the forced one now points at a
-    CONST gate) — pruning children would silently change arities.  Gates left
+    A gate that ``forced`` forces becomes a CONST gate; any other gate keeps
+    its kind and all its children: an AND with one child forced to 1 and two
+    live children keeps all three (the forced one now points at a CONST
+    gate), as pruning children would silently change arities.  Gates left
     outside the output cone are dropped and ids are remapped densely,
     preserving relative order.  ``numVars`` is unchanged, so the result is
     still a circuit over the original variable set (possibly with no INPUT
     gate for some variables).
     """
-    for v in assignment:
-        if not 0 <= v < circuit.num_vars:
-            raise VarOutOfRange(f"cannot restrict x{v} in an n={circuit.num_vars} circuit")
-    folded: list[Gate] = []
-    # value[g] is 0/1 if gate g folded to a constant, else None
-    value: list[int | None] = [None] * len(circuit.gates)
-    for gid, g in enumerate(circuit.gates):
-        if g.kind == INPUT and g.arg in assignment:
-            b = assignment[g.arg]
-            value[gid] = b
-            folded.append(const_gate(b))
-        elif g.kind == CONST:
-            value[gid] = g.arg
-            folded.append(g)
-        elif g.kind == NOT:
-            b = value[g.children[0]]
-            if b is None:
-                folded.append(g)
-            else:
-                value[gid] = 1 - b
-                folded.append(const_gate(1 - b))
-        elif g.kind in (AND, OR):
-            forcing = 0 if g.kind == AND else 1
-            vals = [value[c] for c in g.children]
-            if forcing in vals:
-                value[gid] = forcing
-                folded.append(const_gate(forcing))
-            elif all(v is not None for v in vals):
-                value[gid] = 1 - forcing
-                folded.append(const_gate(1 - forcing))
-            else:
-                folded.append(g)
-        else:  # INPUT of an unassigned variable
-            folded.append(g)
-
-    # keep only the output cone (children of folded constants are cut)
-    live = [False] * len(folded)
-    stack = [circuit.output]
-    while stack:
-        gid = stack.pop()
-        if live[gid]:
-            continue
-        live[gid] = True
-        stack.extend(folded[gid].children)
+    values, live = forced(circuit, assignment)
     remap: dict[int, int] = {}
     kept: list[Gate] = []
-    for gid, g in enumerate(folded):
-        if not live[gid]:
-            continue
-        remap[gid] = len(kept)
-        if g.children:
-            g = Gate(g.kind, tuple(remap[c] for c in g.children), g.arg)
-        kept.append(g)
+    for gid, g in enumerate(circuit.gates):
+        if live[gid]:
+            remap[gid] = len(kept)
+            if values[gid] != 2:
+                g = const_gate(values[gid] & 1)
+            elif g.children:
+                g = Gate(g.kind, tuple(remap[c] for c in g.children), g.arg)
+            kept.append(g)
     cls = Formula if isinstance(circuit, Formula) else Circuit
     return cls(
         circuit.num_vars, kept, remap[circuit.output], circuit.fanin_mode,

@@ -277,6 +277,15 @@ def gate_masks(circuit: Circuit, cap: int | None = None) -> list[int]:
 # truth tables
 
 
+def cofactors(bits: int, n: int, var: int) -> tuple[int, int]:
+    """The tables of x_var := 0 and x_var := 1 of the n-variable table
+    ``bits``, each copied over both values of x_var."""
+    high = bits & var_masks(n)[var]
+    low = bits ^ high
+    shift = 1 << var
+    return low | low << shift, high | high >> shift
+
+
 class TruthTable:
     """A Boolean function as an int bitmask: bit j = f(input j), little-endian."""
 
@@ -343,15 +352,8 @@ class TruthTable:
         """Restrict x_var := bit; the result no longer depends on x_var."""
         if not 0 <= var < self.num_vars:
             raise LengthMismatch(f"x{var} out of range")
-        p1 = var_masks(self.num_vars)[var]
-        shift = 1 << var
-        if bit:
-            high = self.bits & p1
-            bits = high | (high >> shift)
-        else:
-            low = self.bits & (~p1)
-            bits = low | (low << shift)
-        return TruthTable(self.num_vars, bits)
+        low, high = cofactors(self.bits, self.num_vars, var)
+        return TruthTable(self.num_vars, high if bit else low)
 
     def depends_on(self, var: int) -> bool:
         return self.cofactor(var, 0).bits != self.cofactor(var, 1).bits
@@ -758,8 +760,7 @@ def is_monotone(f: TruthTable, cap: int | None = None) -> bool:
     """Check f(x) <= f(y) along every single-bit-increase edge."""
     _check_cap(f.num_vars, cap, EVAL_CAP)
     for i in range(f.num_vars):
-        f0 = f.cofactor(i, 0).bits
-        f1 = f.cofactor(i, 1).bits
+        f0, f1 = cofactors(f.bits, f.num_vars, i)
         if f0 & ~f1:
             return False
     return True
@@ -794,10 +795,9 @@ def dt_depth(f: TruthTable, cap: int | None = None) -> DtDepthResult:
         hit = memo.get(bits)
         if hit is not None:
             return hit[0]
-        t = TruthTable(n, bits)
         best_d, best_v = 1 << 30, None
         for i in range(n):
-            lo, hi = t.cofactor(i, 0).bits, t.cofactor(i, 1).bits
+            lo, hi = cofactors(bits, n, i)
             if lo == hi:
                 continue
             d = 1 + max(solve(lo), solve(hi))
@@ -812,8 +812,8 @@ def dt_depth(f: TruthTable, cap: int | None = None) -> DtDepthResult:
         if bits == full:
             return 1
         _, v = memo[bits]
-        t = TruthTable(n, bits)
-        return (v, rebuild(t.cofactor(v, 0).bits), rebuild(t.cofactor(v, 1).bits))
+        lo, hi = cofactors(bits, n, v)
+        return (v, rebuild(lo), rebuild(hi))
 
     depth = solve(f.bits)
     return DtDepthResult(depth, DecisionTree(n, rebuild(f.bits)))

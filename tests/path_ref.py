@@ -28,7 +28,10 @@ def find_positive_path(circuit, a, i, cap=None):
     if not starts:
         raise NoPathFound(f"no INPUT gate for x{i}")  # unreachable if sensitive
     vals = trace.gate_values
-    consumers = circuit.consumers()
+    consumers = [[] for _ in circuit.gates]  # the ids of the gates that read each gate
+    for gid, g in enumerate(circuit.gates):
+        for c in g.children:
+            consumers[c].append(gid)
     for start in starts:
         parent: dict[int, int] = {start: -1}
         queue = [start]

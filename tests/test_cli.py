@@ -484,6 +484,27 @@ def _two_more_nots(merge):
     return broken
 
 
+def _swap_taps_0_and_1(cascade):
+    def broken(n, cap=None):
+        mc = cascade(n, cap)
+        return replace(mc, taps=(mc.taps[1], mc.taps[0], *mc.taps[2:]))
+    return broken
+
+
+def _drop_first_block(decompose):
+    def broken(formula):
+        dec = decompose(formula)
+        return replace(dec, blocks=dec.blocks[1:])
+    return broken
+
+
+def _one_more_firing(readonce):
+    def broken(formula, cap=None):
+        rep = readonce(formula, cap)
+        return replace(rep, ec=rep.ec + 1)
+    return broken
+
+
 @pytest.mark.parametrize("check_id, name, breaks, failure", [
     ("tree-compile", "dt_to_circuit", _drop_one_guard, "not equivalent to the tree"),
     ("tree-fanin2", "fanin2_reduce", _keep_one_fanin3, "fan-in 3"),
@@ -496,6 +517,9 @@ def _two_more_nots(merge):
      "seed=0: extracted tree differs from the circuit"),
     ("connector-merge", "connector_merge", _two_more_nots,
      "seed=0 x0: negs 3 != 1 + max(0, 0)"),
+    ("cascade-taps", "minterm_cascade", _swap_taps_0_and_1, "n=1: tap 0 fires on the wrong inputs"),
+    ("formula-blocks", "decompose_gk", _drop_first_block, "a leaf sits outside every block"),
+    ("readonce-exact", "readonce_leafneg_energy", _one_more_firing, "seed=0: EC = 2 != L-1 = 1"),
 ])
 def test_a_wrong_construction_fails_its_check(check_id, name, breaks, failure,
                                               monkeypatch, capsys):

@@ -36,7 +36,7 @@ from circuit_energy import (
     truth_table,
 )
 from circuit_energy.corpus import CIRCUIT, FORMULA, MONOTONE, GenSpec, fixture, generate
-from circuit_energy.ir import fold
+from circuit_energy.ir import fold, forced
 
 
 def mk(gates, out, n=2, mode=UNBOUNDED):
@@ -201,6 +201,13 @@ C0, C1 = const_gate(0), const_gate(1)
 def test_restrict_folds_each_rule(n, gates, out, assignment, want, want_out):
     r = restrict(Circuit(n, gates, out), assignment)
     assert (list(r.gates), r.output, r.num_vars, type(r)) == (want, want_out, n, Circuit)
+
+
+def test_forced_stops_the_cone_at_a_forced_gate():
+    # AND x0 x1 is forced to 0, so neither of its inputs is live; x2 is free
+    c = Circuit(3, [X0, X1, X2, and_gate(0, 1), or_gate(3, 2), not_gate(2)], 4)
+    assert forced(c, {0: 0}) == ([0, 2, 2, 0, 2, 2], [False, False, True, True, True, False])
+    assert forced(c, {0: 1, 2: 1}) == ([3, 2, 3, 2, 3, 0], [False, False, False, False, True, False])
 
 
 def test_restrict_refuses_a_variable_out_of_range():

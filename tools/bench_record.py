@@ -15,7 +15,8 @@ beside unscaled; the instances the runs attempted, in total and per seed
 (``run.py`` keeps every latency, so ``peak_rss_mb`` grows with them); the
 calibration medians of the runs; and the same three figures of every traced
 per-layer ``self_s``, since one traced cycle alone can move by a quarter on
-unchanged code.
+unchanged code.  It also holds each checkout's ``src/`` line count, the
+newlines of its Python files as ``wc -l`` counts them.
 ``run.py`` itself is run unchanged from each checkout.  Before the
 workloads, each checkout runs ``python -m circuit_energy verify-all --level
 full --json`` 3 times, the checkouts alternating; the file keeps each
@@ -51,6 +52,11 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     out = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(out.read_text())
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines of the Python files under a checkout's ``src/``."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
 
 def verify_all(checkout: Path) -> dict:
@@ -167,12 +173,13 @@ def main(argv=None) -> int:
             {
                 "label": label,
                 "commit": plain[label][WORKLOADS[0]][0]["machine"]["commit"],
+                "src_lines": src_lines(path),
                 "verify_all_full": verify[label],
                 "workloads": {w: {**summarize(plain[label][w]),
                                   "traced_self_s": self_times(traced[label][w])}
                               for w in WORKLOADS},
             }
-            for label, _ in sides
+            for label, path in sides
         ],
     }
     out = ROOT / f"BENCH_{args.number}.json"
