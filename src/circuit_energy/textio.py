@@ -22,6 +22,11 @@ CycleOrForwardRef (in a one-pass id-ordered format, a forward reference and a
 cycle are the same offence); an unresolved name on the OUTPUT line raises
 UnknownGateRef.
 
+``parse_netlist`` reads the lines in one pass and checks there only the
+grammar, names and references.  The structural rules are left to
+``Circuit.validate`` / ``Formula.validate``, run once on the finished gates,
+so a text's first reading fault wins, then its first structural one.
+
 Decision trees are s-expressions ``(x<k> <low> <high>)`` with leaves ``0``/``1``
 (low = branch taken when the variable reads 0).  Truth tables are ``n=<k>``
 followed by 2^k characters of 0/1 in little-endian input order; whitespace
@@ -31,6 +36,7 @@ inside the bit block is ignored.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .errors import CycleOrForwardRef, ParseError, UnknownGateRef
 from .ir import (
@@ -53,15 +59,18 @@ from .semantics import TruthTable
 
 _NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
 _INPUT_RE = re.compile(r"^INPUT\s+x(\d+)$")
+_TABLE_HEAD = re.compile(r"n\s*=\s*(\d+)")
+_OP_KINDS = {NOT: NOT, AND: AND, OR: OR}
 
 
-def _meaningful_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(number, text) of each line left non-blank by dropping its comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        line = line.strip()
         if line:
-            out.append((lineno, line))
-    return out
+            yield lineno, line
 
 
 def parse_netlist(
@@ -74,36 +83,23 @@ def parse_netlist(
     validated and duplicate INPUT variables are allowed).  When ``fanin_mode``
     is omitted it is inferred: FANIN2 if no AND/OR has more than two children,
     UNBOUNDED otherwise."""
-    lines = _meaningful_lines(text)
-    if not lines:
-        raise ParseError("empty netlist")
+    new = tuple.__new__  # Gate's own constructor is a Python call
     gates: list[Gate] = []
+    emit = gates.append
     names: dict[str, int] = {}
     explicit: set[str] = set()
-    output: int | None = None
     max_var = -1
-
-    def resolve(ref: str, lineno: int, *, at_output: bool) -> int:
-        gid = names.get(ref)
-        if gid is None:
-            if at_output:
-                raise UnknownGateRef(f"line {lineno}: OUTPUT names unknown gate {ref!r}")
-            raise CycleOrForwardRef(
-                f"line {lineno}: reference to {ref!r} before its definition"
-            )
-        return gid
-
+    wide = False
+    lines = _meaningful_lines(text)
     for lineno, line in lines:
-        if output is not None:
-            raise ParseError(f"line {lineno}: content after the OUTPUT line")
-        m = _INPUT_RE.match(line)
-        if m:
+        gid = len(gates)
+        if line.startswith("INPUT") and (m := _INPUT_RE.match(line)):
             var = int(m.group(1))
-            gid = len(gates)
-            gates.append(Gate(INPUT, (), var))
-            if f"x{var}" not in explicit:  # a formula may repeat a variable
-                explicit.add(f"x{var}")
-                names[f"x{var}"] = gid
+            emit(new(Gate, (INPUT, (), var)))
+            name = f"x{var}"
+            if name not in explicit:  # a formula may repeat a variable
+                explicit.add(name)
+                names[name] = gid
             names.setdefault(f"g{gid}", gid)
             max_var = max(max_var, var)
             continue
@@ -111,39 +107,45 @@ def parse_netlist(
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: OUTPUT wants exactly one reference")
-            output = resolve(parts[1], lineno, at_output=True)
-            continue
-        if "=" not in line:
+            output = names.get(parts[1])
+            if output is None:
+                raise UnknownGateRef(f"line {lineno}: OUTPUT names unknown gate {parts[1]!r}")
+            break
+        lhs, eq, rhs = line.partition("=")
+        if not eq:
             raise ParseError(f"line {lineno}: expected INPUT, OUTPUT or '<name> = ...'")
-        lhs, rhs = (s.strip() for s in line.split("=", 1))
+        lhs = lhs.rstrip()
         if not _NAME_RE.match(lhs):
             raise ParseError(f"line {lineno}: bad gate name {lhs!r}")
         parts = rhs.split()
         if not parts:
             raise ParseError(f"line {lineno}: missing gate kind")
-        kind, refs = parts[0], parts[1:]
-        gid = len(gates)
-        if kind == CONST:
-            if len(refs) != 1 or refs[0] not in ("0", "1"):
+        word = parts[0]
+        if word == CONST:
+            if len(parts) != 2 or parts[1] not in ("0", "1"):
                 raise ParseError(f"line {lineno}: CONST wants a single 0 or 1")
-            gates.append(Gate(CONST, (), int(refs[0])))
-        elif kind in (NOT, AND, OR):
-            children = tuple(resolve(r, lineno, at_output=False) for r in refs)
-            gates.append(Gate(kind, children))
+            emit(new(Gate, (CONST, (), int(parts[1]))))
+        elif kind := _OP_KINDS.get(word):
+            try:
+                children = tuple([names[ref] for ref in parts[1:]])
+            except KeyError as miss:
+                raise CycleOrForwardRef(f"line {lineno}: reference to {miss.args[0]!r} "
+                                        "before its definition") from None
+            if len(children) > 2 and kind is not NOT:
+                wide = True
+            emit(new(Gate, (kind, children, 0)))
         else:
-            raise ParseError(f"line {lineno}: unknown gate kind {kind!r}")
+            raise ParseError(f"line {lineno}: unknown gate kind {word!r}")
         if lhs in explicit:
             raise ParseError(f"line {lineno}: name {lhs!r} already used")
         explicit.add(lhs)
         names[lhs] = gid
         names.setdefault(f"g{gid}", gid)
-    if output is None:
-        raise ParseError("netlist has no OUTPUT line")
-
+    else:
+        raise ParseError("netlist has no OUTPUT line" if gates else "empty netlist")
+    for lineno, _ in lines:
+        raise ParseError(f"line {lineno}: content after the OUTPUT line")
     if fanin_mode is None:
-        wide = any(
-            g.kind in (AND, OR) and len(g.children) > 2 for g in gates
-        )
         fanin_mode = UNBOUNDED if wide else FANIN2
     cls = Formula if formula else Circuit
     return cls(max_var + 1, gates, output, fanin_mode)
@@ -229,26 +231,23 @@ def serialize_dtree(tree: DecisionTree) -> str:
 
 def parse_truth_table(text: str) -> TruthTable:
     lines = _meaningful_lines(text)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty truth table")
-    lineno, head = lines[0]
-    m = re.fullmatch(r"n\s*=\s*(\d+)", head)
+    lineno, head = first
+    m = _TABLE_HEAD.fullmatch(head)
     if not m:
         raise ParseError(f"line {lineno}: expected 'n=<k>' header")
     n = int(m.group(1))
-    bits_text = "".join(line for _, line in lines[1:])
-    bits_text = re.sub(r"\s", "", bits_text)
+    bits_text = "".join([word for _, line in lines for word in line.split()])
     if len(bits_text) != 1 << n:
         raise ParseError(
             f"expected {1 << n} table bits for n={n}, got {len(bits_text)}"
         )
     if set(bits_text) - {"0", "1"}:
         raise ParseError("table bits must be 0/1")
-    bits = 0
-    for j, ch in enumerate(bits_text):
-        if ch == "1":
-            bits |= 1 << j
-    return TruthTable(n, bits)
+    # little-endian: the first character is bit 0
+    return TruthTable(n, int(bits_text[::-1], 2))
 
 
 def serialize_truth_table(table: TruthTable) -> str:
