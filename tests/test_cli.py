@@ -9,6 +9,7 @@ import pytest
 
 from circuit_energy import TruthTable, bounds, cli, verify
 from circuit_energy.cli import main
+from circuit_energy.corpus import MONOTONE
 from circuit_energy.ir import AND, NOT, UNBOUNDED, Circuit, DecisionTree, Gate
 from circuit_energy.synth import DtCompileResult
 
@@ -505,6 +506,25 @@ def _one_more_firing(readonce):
     return broken
 
 
+def _drop_one_term(fixture):
+    def broken(name):  # the OR reads its second odd-weight term in its first one's slot
+        c = fixture(name)
+        *gates, top = c.gates
+        gates.append(Gate(top.kind, (top.children[1], *top.children[1:])))
+        return Circuit(c.num_vars, gates, c.output, c.fanin_mode)
+    return broken
+
+
+def _output_under_a_not(generate):
+    def broken(spec):
+        c = generate(spec)
+        if spec.shape != MONOTONE:
+            return c
+        k = len(c.gates)
+        return Circuit(c.num_vars, [*c.gates, Gate(NOT, (c.output,))], k, c.fanin_mode)
+    return broken
+
+
 @pytest.mark.parametrize("check_id, name, breaks, failure", [
     ("tree-compile", "dt_to_circuit", _drop_one_guard, "not equivalent to the tree"),
     ("tree-fanin2", "fanin2_reduce", _keep_one_fanin3, "fan-in 3"),
@@ -520,6 +540,8 @@ def _one_more_firing(readonce):
     ("cascade-taps", "minterm_cascade", _swap_taps_0_and_1, "n=1: tap 0 fires on the wrong inputs"),
     ("formula-blocks", "decompose_gk", _drop_first_block, "a leaf sits outside every block"),
     ("readonce-exact", "readonce_leafneg_energy", _one_more_firing, "seed=0: EC = 2 != L-1 = 1"),
+    ("parity-dnf", "fixture", _drop_one_term, "n=2: not the parity function"),
+    ("monotone-peak", "generate", _output_under_a_not, "seed=0: EC = 3 != size = 4"),
 ])
 def test_a_wrong_construction_fails_its_check(check_id, name, breaks, failure,
                                               monkeypatch, capsys):
@@ -570,6 +592,17 @@ _OPTION_VERBS = {  # verb -> {case: argv}
 }
 
 
+_STRUCTURAL = {  # netlists that read well but break a structural rule of validate
+    "not-arity": "INPUT x0\nINPUT x1\ng = NOT x0 x1\nOUTPUT g\n",
+    "and-arity": "INPUT x0\ng = AND x0\nOUTPUT g\n",
+    "duplicate-input": "INPUT x0\nINPUT x1\nINPUT x0\ng = AND x0 x1\nh = AND g g2\nOUTPUT h\n",
+}
+_STRUCTURAL_CASES = [  # a formula may repeat a variable, so only plain netlists refuse it
+    (verb, case) for verb, (kind, _) in _FILE_VERBS.items() for case in _STRUCTURAL
+    if kind == "netlist" or kind == "formula" and case != "duplicate-input"
+]
+
+
 def test_every_verb_has_bad_input_cases():
     (sub,) = [a for a in cli._parser()._actions if a.dest == "command"]
     assert set(sub.choices) == set(_FILE_VERBS) | set(_OPTION_VERBS)
@@ -592,3 +625,12 @@ def test_bad_input_exits_without_a_traceback(verb, case, tmp_path, capsys):
         rc = exc.code
     assert rc in (0, 1, 2, 141)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, case", _STRUCTURAL_CASES)
+def test_a_structural_fault_exits_2_with_one_line(verb, case, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(_STRUCTURAL[case])
+    assert main([verb, str(path), *_FILE_VERBS[verb][1]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
