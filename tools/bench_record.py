@@ -6,16 +6,19 @@
 For every workload of ``perfbench`` and every seed 1..k, each checkout runs
 ``perfbench/run.py --trace 0`` in turn (the order alternates from seed to
 seed, so slow drift of a shared host weighs on both sides alike), then
-``--trace 1`` at seeds 1..3, alternating the same way.  Every run lasts the
+``--trace 1`` at seeds 1..3, alternating the same way, then one more
+``--trace 0`` run at the held-out seed 9001, on which a claim must also hold
+(the order alternates from workload to workload).  Every run lasts the
 benchmark's own ``run_seconds``.  The file holds the machine and each
 checkout's commit; per workload the median, interquartile range and per-seed
 values (in seed order, so that seed s of one checkout pairs with seed s of
 another) of every end-to-end metric, rescaled as ``run.py`` reports it
 beside unscaled; the instances the runs attempted, in total and per seed
 (``run.py`` keeps every latency, so ``peak_rss_mb`` grows with them); the
-calibration medians of the runs; and the same three figures of every traced
+calibration medians of the runs; the same three figures of every traced
 per-layer ``self_s``, since one traced cycle alone can move by a quarter on
-unchanged code.  It also holds each checkout's ``src/`` line count, the
+unchanged code; and, under ``held_out``, the end-to-end figures of the
+held-out run.  It also holds each checkout's ``src/`` line count, the
 newlines of its Python files as ``wc -l`` counts them.
 ``run.py`` itself is run unchanged from each checkout.  Before the
 workloads, each checkout runs ``python -m circuit_energy verify-all --level
@@ -42,6 +45,7 @@ WORKLOADS = ("dtree-compile", "wide-sweep", "small-certify")
 END_TO_END = ("throughput_inst_s", "latency_ms_p50", "latency_ms_tail", "setup_s", "peak_rss_mb")
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 TRACED_SEEDS = 3  # --trace 1 runs per workload and checkout
+HELD_OUT_SEED = 9001  # one more --trace 0 run per workload and checkout
 VERIFY_RUNS = 3  # verify-all runs per checkout
 
 
@@ -120,6 +124,17 @@ def summarize(records: list[dict]) -> dict:
     }
 
 
+def held_out(record: dict) -> dict:
+    """The end-to-end figures of one checkout's run at the held-out seed."""
+    return {
+        "seed": HELD_OUT_SEED,
+        "failed": record["failed"],
+        "attempted": record["attempted"],
+        "rescaled": {m: record["result"]["metrics"][m]["value"] for m in END_TO_END},
+        "unscaled": {m: v for m, v in record["notes"]["unscaled"].items() if m in END_TO_END},
+    }
+
+
 def self_times(records: list[dict]) -> dict:
     """Median, interquartile range and per-seed values of every per-layer
     ``self_s`` over the ``--trace 1`` records of one checkout."""
@@ -151,18 +166,23 @@ def main(argv=None) -> int:
     verify = {label: verify_runs(label, runs[label]) for label, _ in sides}
     plain = {label: {w: [] for w in WORKLOADS} for label, _ in sides}
     traced = {label: {w: [] for w in WORKLOADS} for label, _ in sides}
-    for w in WORKLOADS:
+    held = {label: {} for label, _ in sides}
+    for k, w in enumerate(WORKLOADS):
         for trace, seeds, records in ((0, args.seeds, plain), (1, TRACED_SEEDS, traced)):
             for seed in range(1, seeds + 1):
                 order = sides if seed % 2 else sides[::-1]
                 for label, path in order:
                     print(f"{w} seed={seed} trace={trace} {label}", file=sys.stderr, flush=True)
                     records[label][w].append(run(path, w, seed, trace))
+        for label, path in sides if k % 2 else sides[::-1]:
+            print(f"{w} seed={HELD_OUT_SEED} trace=0 {label}", file=sys.stderr, flush=True)
+            held[label][w] = run(path, w, HELD_OUT_SEED, 0)
 
     first = plain[sides[0][0]][WORKLOADS[0]][0]["machine"]
     doc = {
         "what": "perfbench/run.py end-to-end runs (--trace 0) over seeds 1..k per workload, "
                 f"checkouts alternating, plus --trace 1 runs at seeds 1..{TRACED_SEEDS}, "
+                f"one --trace 0 run at the held-out seed {HELD_OUT_SEED}, "
                 f"and {VERIFY_RUNS} alternating `verify-all --level full --json` runs per "
                 "checkout",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} "
@@ -176,7 +196,8 @@ def main(argv=None) -> int:
                 "src_lines": src_lines(path),
                 "verify_all_full": verify[label],
                 "workloads": {w: {**summarize(plain[label][w]),
-                                  "traced_self_s": self_times(traced[label][w])}
+                                  "traced_self_s": self_times(traced[label][w]),
+                                  "held_out": held_out(held[label][w])}
                               for w in WORKLOADS},
             }
             for label, path in sides
