@@ -599,7 +599,7 @@ _STRUCTURAL = {  # netlists that read well but break a structural rule of valida
 }
 _STRUCTURAL_CASES = [  # a formula may repeat a variable, so only plain netlists refuse it
     (verb, case) for verb, (kind, _) in _FILE_VERBS.items() for case in _STRUCTURAL
-    if kind == "netlist" or kind == "formula" and case != "duplicate-input"
+    if kind == "netlist" or (kind == "formula" and case != "duplicate-input")
 ]
 
 

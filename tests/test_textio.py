@@ -12,10 +12,8 @@ from circuit_energy import (
     truth_table,
 )
 from circuit_energy.corpus import CIRCUIT, DTREE, FORMULA, READONCE_LEAFNEG, SHAPES, GenSpec, generate
-from circuit_energy.ir import FANIN2, UNBOUNDED, Formula as FormulaType, bounded
+from circuit_energy.ir import FANIN2, UNBOUNDED, bounded
 from circuit_energy.synth import dt_to_circuit
-from parse_ref import parse_netlist as ref_parse_netlist
-from parse_ref import parse_truth_table as ref_parse_truth_table
 from circuit_energy.textio import (
     parse_dtree,
     parse_netlist,
@@ -24,6 +22,8 @@ from circuit_energy.textio import (
     serialize_netlist,
     serialize_truth_table,
 )
+from parse_ref import parse_netlist as ref_parse_netlist
+from parse_ref import parse_truth_table as ref_parse_truth_table
 
 
 def test_parse_basic_netlist():
@@ -181,7 +181,7 @@ def _generated_netlists():
                     spec = replace(spec, size_budget=min(spec.size_budget, spec.num_vars))
                 c = generate(spec)
             header = [f"seed {s}", shape] if s % 3 == 0 else None
-            yield serialize_netlist(c, header), isinstance(c, FormulaType)
+            yield serialize_netlist(c, header), isinstance(c, Formula)
 
 
 def test_parse_netlist_matches_the_reference_on_generated_netlists():
