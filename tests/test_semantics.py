@@ -32,6 +32,7 @@ from circuit_energy.ir import AND, CONST, INPUT, NOT, OP_KINDS, OR, Circuit, Gat
 from circuit_energy.semantics import BLOCK_VARS, count_planes, max_firing
 from circuit_energy.synth import dt_to_circuit, minterm_cascade
 from circuit_energy.textio import parse_netlist
+from psens_ref import psens as psens_ref
 from sweep_ref import energies, gate_lanes, lanes
 
 XOR2 = TruthTable(2, 0b0110)
@@ -671,6 +672,86 @@ def test_psens_at():
     f = truth_table(fixture("or_tree(3)"))
     assert psens_at(f, (1, 0, 0)) == {0}
     assert psens_at(f, (1, 1, 0)) == set()
+
+
+# --------------------------------------------------------------------------
+# psens against the whole-width reference of tests/psens_ref.py
+
+
+def _assert_psens_matches(f):
+    got = psens(f)
+    assert got == psens_ref(f), (f.num_vars, got)
+    return got
+
+
+def test_psens_matches_the_reference_on_every_small_table():
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            _assert_psens_matches(TruthTable(n, bits))
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_psens_matches_the_reference_on_seeded_tables(n):
+    rng = random.Random(n)
+    for _ in range(3 if n <= 16 else 1):
+        _assert_psens_matches(TruthTable(n, rng.getrandbits(1 << n)))
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_psens_matches_the_reference_when_some_high_variables_are_unread(n):
+    # block b repeats the random block its read high bits select, so the
+    # table reads exactly the high variables in `read`
+    rng = random.Random(100 + n)
+    high = n - BLOCK_VARS
+    for read in ([], [high - 1], sorted({0, high - 1}), rng.sample(range(high), rng.randint(1, high))):
+        rows = [rng.randbytes(1 << (BLOCK_VARS - 3)) for _ in range(1 << len(read))]
+        pick = [sum(((b >> j) & 1) << r for r, j in enumerate(read)) for b in range(1 << high)]
+        f = TruthTable(n, int.from_bytes(b"".join(rows[p] for p in pick), "little"))
+        assert [v - BLOCK_VARS for v in range(BLOCK_VARS, n) if f.depends_on(v)] == sorted(read)
+        _assert_psens_matches(f)
+
+
+@pytest.mark.parametrize("name", list(BLOCKED_CASES))
+def test_psens_matches_the_reference_on_blocked_cases(name):
+    _assert_psens_matches(truth_table(BLOCKED_CASES[name]))
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+@pytest.mark.parametrize("size", [150, 300])
+def test_psens_matches_the_reference_on_wide_circuits(n, size):
+    _assert_psens_matches(truth_table(_circuit(n, size, seed=n * size)))
+
+
+def _psens_hand(name, n):
+    top, high = n - 1, range(BLOCK_VARS, n)
+    bodies = {
+        "low-only": "a = AND x0 x7\nb = OR x3 x15\no = OR a b\n",
+        "top-only": f"o = NOT x{top}\n",
+        "all-high": "".join(f"h{v} = OR x{v} x0\n" for v in high)
+                    + "o = AND x1 " + " ".join(f"h{v}" for v in high) + "\n",
+        # x0 and x1 reach 2 in block 0, x2 and the top variable reach 2 in
+        # a later block: the first argmax, input 3, stays in block 0
+        "tie": f"a = AND x0 x1\nb = AND x2 x{top}\no = OR a b\n",
+    }
+    return truth_table(parse_netlist(_inputs(n) + bodies[name] + "OUTPUT o\n"))
+
+
+@pytest.mark.parametrize("n", [17, 20])
+@pytest.mark.parametrize("name", ["zero", "one", "low-only", "top-only", "all-high", "tie"])
+def test_psens_matches_the_reference_on_hand_tables(n, name):
+    if name in ("zero", "one"):
+        f = TruthTable(n, 0 if name == "zero" else (1 << (1 << n)) - 1)
+    else:
+        f = _psens_hand(name, n)
+    reads = [v for v in range(BLOCK_VARS, n) if f.depends_on(v)]
+    assert reads == {"top-only": [n - 1], "tie": [n - 1],
+                     "all-high": list(range(BLOCK_VARS, n))}.get(name, [])
+    rep = _assert_psens_matches(f)
+    if name in ("zero", "one"):
+        assert rep.value == 0 and rep.witness_input == (0,) * n
+    if name == "tie":
+        assert rep.value == 2 and rep.witness_input == (1, 1) + (0,) * (n - 2)
+        assert psens_at(f, (0, 0, 1) + (0,) * (n - 4) + (1,)) == {2, n - 1}
 
 
 def test_is_monotone():
