@@ -12,6 +12,7 @@ from circuit_energy.cli import main
 from circuit_energy.corpus import MONOTONE
 from circuit_energy.ir import AND, NOT, UNBOUNDED, Circuit, DecisionTree, Gate
 from circuit_energy.synth import DtCompileResult
+from circuit_energy.textio import parse_netlist, serialize_netlist
 
 OR2 = "INPUT x0\nINPUT x1\ng = OR x0 x1\nOUTPUT g\n"
 
@@ -126,6 +127,24 @@ def test_psens_check(capsys):
     assert main(["psens-check", "fixture:and_tree(4)"]) == 0
     out = capsys.readouterr().out
     assert "psens=4" in out and "holds=yes" in out
+
+
+_WIDE_INPUTS = "".join(f"INPUT x{i}\n" for i in range(20))
+
+
+@pytest.mark.parametrize("body, line", [
+    # the output reads x0..x3 and x19: the witness sits in the top block
+    ("a = AND x0 x1\nb = AND x2 x3\nc = AND a b\nn = NOT x19\nd = OR b n\no = AND c d x19\n",
+     "EC=5 psens=5 c=3 holds=yes witness=11110000000000000001"),
+    # gates read x16..x19, but the output reads none of them
+    ("h = AND x16 x17\nk = OR x18 x19\ng = AND h k\na = AND x0 x1\nb = OR x2 x3\no = AND a b\n",
+     "EC=6 psens=3 c=2 holds=yes witness=11100000000000000000"),
+])
+def test_psens_check_above_two_to_the_16_inputs(body, line, tmp_path, capsys):
+    path = tmp_path / "wide.cir"
+    path.write_text(serialize_netlist(parse_netlist(_WIDE_INPUTS + body + "OUTPUT o\n")))
+    assert main(["psens-check", str(path)]) == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_extract_dt(or2_path, capsys):
