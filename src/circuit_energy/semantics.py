@@ -36,9 +36,13 @@ of the top `level` bits of the counter does, so a level-l gate is swept 2^l
 times, level 0 once.  Each level keeps its count planes, which start from
 the level below's; level 0 starts from a constant 1 per complement pair (a
 counted NOT over a counted gate, exactly one of which fires).  A block
-re-counts only the levels it swept.  psens counts the same way over masks
-derived from the truth table.  Truth tables put the output mask of each
-block at the block's own index, choosing their order over the output cone.
+re-counts only the levels it swept.  psens counts the same blocks, sliced
+from the truth table's bytes: inside a block the masks of variables below
+16 come from shifts of the block, and that of a high variable is the block
+xor its partner block.  A high variable the table does not read makes each
+block with its bit set repeat a lower block, so those blocks are never
+counted.  Truth tables put the output mask of each block at the block's
+own index, choosing their order over the output cone.
 energy_moments reads exact energy sums and sampled per-input energies off
 the same planes, without a per-input array.  gate_masks, which
 firing_patterns and bounds.dt_from_patterns need (the latter reads every
@@ -745,13 +749,38 @@ def psens_at(f: TruthTable, a) -> set:
 
 
 def psens(f: TruthTable, cap: int | None = None) -> PsensReport:
-    """max over a of |{i : a_i = 1, f(a xor e_i) != f(a)}|, with a witness."""
+    """max over a of |{i : a_i = 1, f(a xor e_i) != f(a)}|, with a witness.
+
+    Counted over the table's blocks of 2^16 inputs (one block at n <= 16),
+    sliced from its bytes.  x_{16+j} is read when some block differs from
+    its partner across bit j.  A block with an unread bit set repeats the
+    counts of the block with those bits cleared, which comes first, so only
+    the blocks whose set bits are all read are counted, in increasing
+    index; a later block wins only with a larger peak, so the witness is
+    the first argmax.
+    """
     n = f.num_vars
     _check_cap(n, cap, EVAL_CAP)
-    bits = f.bits
-    # s_i: inputs with a_i = 1 whose partner a - 2^i has the other value
-    sens = ((bits ^ (bits << (1 << i))) & x for i, x in enumerate(var_masks(n)))
-    value, best = max_planes(count_planes(sens), (1 << (1 << n)) - 1)
+    k = min(n, BLOCK_VARS)
+    blocks, read = {0: f.bits}, []
+    if n > k:
+        raw = f.bits.to_bytes(1 << (n - 3), "little")
+        step = 1 << (k - 3)
+        rows = [raw[i:i + step] for i in range(0, len(raw), step)]
+        read = [j for j in range(n - k)
+                if any(rows[b] != rows[b | 1 << j] for b in range(len(rows)) if not b >> j & 1)]
+        unread = len(rows) - 1 - sum(1 << j for j in read)
+        blocks = {b: int.from_bytes(row, "little") for b, row in enumerate(rows) if not b & unread}
+    full, low = (1 << (1 << k)) - 1, var_masks(k)
+    value, best = -1, 0
+    for b, bits in blocks.items():
+        # s_i: inputs with a_i = 1 whose partner a - 2^i has the other value;
+        # for a high variable the partner is the whole block b - 2^j
+        sens = [(bits ^ (bits << (1 << i))) & x for i, x in enumerate(low)]
+        sens += [bits ^ blocks[b ^ 1 << j] for j in read if b >> j & 1]
+        top, at = max_planes(count_planes(sens), full)
+        if top > value:
+            value, best = top, b << k | at
     witness = tuple((best >> i) & 1 for i in range(n))
     return PsensReport(value, witness, psens_at(f, witness))
 

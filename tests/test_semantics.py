@@ -142,6 +142,24 @@ def test_blocked_sweeps_hold_kilobytes_of_masks():
         assert peak < 8 << 20, (fn.__name__, peak)
 
 
+def test_blocked_psens_holds_blocks_not_columns(monkeypatch):
+    # a full-support n = 20 table: every block is counted.  The whole-width
+    # count held 1.7 MiB and cached 20 columns of 128 KiB each
+    f = TruthTable(20, random.Random(20).getrandbits(1 << 20))
+    assert all(f.depends_on(v) for v in range(20))
+    widths = []
+    monkeypatch.setattr(semantics, "var_masks", lambda k: widths.append(k) or var_masks(k))
+    var_masks(BLOCK_VARS)
+    tracemalloc.start()
+    try:
+        psens(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert widths and max(widths) <= BLOCK_VARS, widths
+
+
 @pytest.mark.parametrize("body, ec, index", [
     # block 0 peaks at 1 (input 3); only block 1 reaches 2
     ("a = AND x0 x1\nb = AND a x16\nOUTPUT b\n", 2, 3 | 1 << 16),
