@@ -240,10 +240,9 @@ def parse_truth_table(text: str) -> TruthTable:
         raise ParseError(f"line {lineno}: expected 'n=<k>' header")
     n = int(m.group(1))
     bits_text = "".join([word for _, line in lines for word in line.split()])
-    if len(bits_text) != 1 << n:
-        raise ParseError(
-            f"expected {1 << n} table bits for n={n}, got {len(bits_text)}"
-        )
+    count = len(bits_text)  # held to 2^n without building it: n is unchecked
+    if count & (count - 1) or count.bit_length() != n + 1:
+        raise ParseError(f"expected 2^{n} table bits for n={n}, got {count}")
     if set(bits_text) - {"0", "1"}:
         raise ParseError("table bits must be 0/1")
     # little-endian: the first character is bit 0

@@ -116,9 +116,7 @@ def parse_truth_table(text):
     bits_text = "".join(line for _, line in lines[1:])
     bits_text = re.sub(r"\s", "", bits_text)
     if len(bits_text) != 1 << n:
-        raise ParseError(
-            f"expected {1 << n} table bits for n={n}, got {len(bits_text)}"
-        )
+        raise ParseError(f"expected 2^{n} table bits for n={n}, got {len(bits_text)}")
     if set(bits_text) - {"0", "1"}:
         raise ParseError("table bits must be 0/1")
     bits = 0

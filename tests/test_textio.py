@@ -145,6 +145,9 @@ def test_truth_table_parse_errors():
         parse_truth_table("0110")  # missing n= header
     with pytest.raises(ParseError):
         parse_truth_table("n=2\n01\n")  # wrong length
+    for n, count in ((20000, 2), (3, 0), (0, 2)):  # 2^20000 is never built
+        with pytest.raises(ParseError, match=rf"expected 2\^{n} table bits for n={n}, got {count}$"):
+            parse_truth_table(f"n={n}\n" + "1" * count)
 
 
 # --------------------------------------------------------------------------
