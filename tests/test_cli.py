@@ -5,9 +5,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from circuit_energy import TruthTable, bounds, cli, verify
+from circuit_energy import TruthTable, bounds, cli, energy_moments, verify
 from circuit_energy.cli import main
 from circuit_energy.corpus import MONOTONE
 from circuit_energy.ir import AND, NOT, UNBOUNDED, Circuit, DecisionTree, Gate
@@ -544,6 +545,26 @@ def _output_under_a_not(generate):
     return broken
 
 
+def _drop_one_leaf(fixture):
+    def broken(name):  # and_tree(k) reads x0 where it read x_{k-1}
+        c = fixture(name)
+        last = c.num_vars - 1
+        gates = [Gate(g.kind, tuple(0 if ch == last else ch for ch in g.children), g.arg)
+                 for g in c.gates]
+        return Circuit(c.num_vars, gates, c.output, c.fanin_mode)
+    return broken
+
+
+def _biased_samples(estimate):
+    def broken(formula, samples=1000, seed=0):  # the samples all set x0
+        stats = estimate(formula, samples, seed)
+        idx = np.random.default_rng(seed).integers(0, 1 << formula.num_vars, size=samples,
+                                                   dtype=np.uint64)
+        drawn = energy_moments(formula, idx | np.uint64(1)).drawn
+        return replace(stats, empirical_mean_energy=float(drawn.mean()))
+    return broken
+
+
 @pytest.mark.parametrize("check_id, name, breaks, failure", [
     ("tree-compile", "dt_to_circuit", _drop_one_guard, "not equivalent to the tree"),
     ("tree-fanin2", "fanin2_reduce", _keep_one_fanin3, "fan-in 3"),
@@ -561,6 +582,9 @@ def _output_under_a_not(generate):
     ("readonce-exact", "readonce_leafneg_energy", _one_more_firing, "seed=0: EC = 2 != L-1 = 1"),
     ("parity-dnf", "fixture", _drop_one_term, "n=2: not the parity function"),
     ("monotone-peak", "generate", _output_under_a_not, "seed=0: EC = 3 != size = 4"),
+    ("psens-floor", "fixture", _drop_one_leaf, "and_tree(2): psens=1 != 2"),
+    ("nonskew-floor", "nonskew_energy_estimate", _biased_samples,
+     "seed=0: |MC - exact| = 1.5000 > 3*SE = 0.0712"),
 ])
 def test_a_wrong_construction_fails_its_check(check_id, name, breaks, failure,
                                               monkeypatch, capsys):
@@ -644,6 +668,16 @@ def test_bad_input_exits_without_a_traceback(verb, case, tmp_path, capsys):
         rc = exc.code
     assert rc in (0, 1, 2, 141)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [verb for verb, (kind, _) in _FILE_VERBS.items() if kind == "table"])
+def test_a_huge_table_header_exits_2_with_one_line(verb, tmp_path, capsys):
+    # 2^20000 is refused from the bit count, without being built or printed
+    path = tmp_path / "input"
+    path.write_text("n=20000\n01\n")
+    assert main([verb, str(path), *_FILE_VERBS[verb][1]]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expected 2^20000 table bits for n=20000, got 2\n"
 
 
 @pytest.mark.parametrize("verb, case", _STRUCTURAL_CASES)
