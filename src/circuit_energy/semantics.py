@@ -777,7 +777,9 @@ def psens(f: TruthTable, cap: int | None = None) -> PsensReport:
         # s_i: inputs with a_i = 1 whose partner a - 2^i has the other value;
         # for a high variable the partner is the whole block b - 2^j
         sens = [(bits ^ (bits << (1 << i))) & x for i, x in enumerate(low)]
-        sens += [bits ^ blocks[b ^ 1 << j] for j in read if b >> j & 1]
+        for j in read:  # a loop, not a comprehension: n <= 16 reads none
+            if b >> j & 1:
+                sens.append(bits ^ blocks[b ^ 1 << j])
         top, at = max_planes(count_planes(sens), full)
         if top > value:
             value, best = top, b << k | at
