@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -687,3 +688,131 @@ def test_a_structural_fault_exits_2_with_one_line(verb, case, tmp_path, capsys):
     assert main([verb, str(path), *_FILE_VERBS[verb][1]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# numpy loads on first use; the outputs computed with it are pinned
+
+
+_NUMPY_FREE_VERBS = {  # verb -> argv after the verb, "@name" a file of _TINY
+    "eval": ["@or2", "--input", "10"],
+    "energy": ["@or2"],
+    "compile-tt": ["@xor2"],
+    "dt2circuit": ["@tree"],
+    "fanin2": ["@tree"],
+    "psens-check": ["@or2"],
+    "kw-run": ["@or2", "--alice", "10", "--bob", "00"],
+    "fml-decompose": ["@or2"],
+    "fml-stats": ["@or2", "--readonce"],
+}
+_TINY = {"or2": OR2, "xor2": "n=2\n0110\n", "tree": "(x0 (x1 0 1) (x1 1 0))\n"}
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import circuit_energy, circuit_energy.cli
+print("import", "numpy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = circuit_energy.cli.main(argv)
+    print(argv[0], rc, "numpy" in sys.modules)
+"""
+
+
+def _with_files(argv, tmp_path, texts):
+    """``argv`` with each "@name" replaced by the path of a file holding
+    ``texts[name]``."""
+    out = []
+    for arg in argv:
+        if arg.startswith("@"):
+            path = tmp_path / arg[1:]
+            path.write_text(texts[arg[1:]])
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+def test_numpy_free_verbs_never_load_numpy(tmp_path):
+    runs = [_with_files([verb, *rest], tmp_path, _TINY) for verb, rest in _NUMPY_FREE_VERBS.items()]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    want = ["import False"] + [f"{verb} 0 False" for verb in _NUMPY_FREE_VERBS]
+    assert done.stdout.splitlines() == want
+
+
+_PIN_TEXTS = {  # formulas: an input line per leaf, gates named by line
+    "nonskew": "INPUT x0\nINPUT x1\ng2 = AND g0 g1\nINPUT x2\nINPUT x3\ng5 = OR g3 g4\n"
+    "g6 = OR g2 g5\nINPUT x4\nINPUT x5\ng9 = AND g7 g8\nINPUT x1\nINPUT x4\n"
+    "g12 = OR g10 g11\ng13 = AND g9 g12\ng14 = OR g6 g13\nOUTPUT g14\n",
+    "wide": "INPUT x0\nINPUT x29\ng2 = AND g0 g1\nINPUT x7\nINPUT x0\ng5 = OR g3 g4\n"
+    "g6 = OR g2 g5\nOUTPUT g6\n",
+}
+_GEN = ["gen", "--seed", "7", "--num-vars", "6", "--size", "24", "--neg-density", "0.3"]
+_PINS = {  # case -> (argv, SHA-256 of its stdout)
+    "gen-CIRCUIT": (
+        [*_GEN, "--shape", "CIRCUIT"],
+        "93d14d4d4c833763e57ab542baaa6d5e0ee0ee326370d5be35f6a6b42a7634e8"),
+    "gen-CIRCUIT-UNBOUNDED": (
+        [*_GEN, "--shape", "CIRCUIT", "--fanin", "UNBOUNDED"],
+        "2e1aeed383465ceec35ee0eafd2e32eb521cb2b647216450a99680423778d1b5"),
+    "gen-CIRCUIT-BOUNDED": (
+        [*_GEN, "--shape", "CIRCUIT", "--fanin", "BOUNDED:3"],
+        "159a55168c808033c313f55e301ea3db03f1dad022f9ee0489b7cc6f2086cec7"),
+    "gen-MONOTONE": (
+        [*_GEN, "--shape", "MONOTONE"],
+        "9b85b48ff48dbd38a4ffb3db62f952703d42d932d1949c89f5062d14b6c42838"),
+    "gen-FORMULA": (
+        [*_GEN, "--shape", "FORMULA"],
+        "db797a1082cbb6327586f6efb974838b53dda7c7ffa96ce9de7c4f3a056cd4cb"),
+    "gen-READONCE_LEAFNEG": (
+        ["gen", "--seed", "7", "--num-vars", "9", "--size", "8", "--neg-density", "0.5",
+         "--shape", "READONCE_LEAFNEG"],
+        "49e20166c61f9d50eec1a0cf7fd5485564258fe9c67b9cd061e27401729f6a69"),
+    "gen-DTREE": (
+        ["gen", "--seed", "7", "--num-vars", "6", "--size", "5", "--shape", "DTREE"],
+        "42ada435210692fb78e21593ff36dcad11e0f28f8374e979b7d17742939d23ad"),
+    "gen-NONSKEW": (
+        [*_GEN, "--shape", "NONSKEW"],
+        "4fd6ce84917665aff0a8305460fd388094da0776a3a450e0b1f54caf71020e47"),
+    "patterns-parity4": (
+        ["patterns", "fixture:parity4_dnf"],
+        "9046979bcbccf52cebfddf52afcf78f6a2ff3d7f0e24159245bd9496126d870e"),
+    "patterns-addr2": (
+        ["patterns", "fixture:addr(2)"],
+        "9c3d3e7596a1f91a905015314d3c912842bd9dc0cc8faf39e2fe42c9788c1c10"),
+    "patterns-and17": (
+        ["patterns", "fixture:and_tree(17)"],
+        "e91d13f2189fd1a02fa30df2cfa3bc8f64f64e83b36be9e17b4797455375bc27"),
+    "extract-dt-addr2": (
+        ["extract-dt", "fixture:addr(2)"],
+        "26efb18b1b95bd705fcfebe1a7727a1cab653b713753f15ffb1b7e039c394162"),
+    "extract-dt-parity3": (
+        ["extract-dt", "fixture:parity3_dnf"],
+        "ad6efa4a4da69f199e276661058724da4b394be680b7a3aaa697667821f5b711"),
+    "fml-nonskew": (
+        ["fml-nonskew", "@nonskew", "--samples", "300", "--seed", "3"],
+        "17e04fdc452a6511c8a6467743fa80cc570aef53fb42b42611d4e08a0386cd70"),
+    "fml-nonskew-wide": (
+        ["fml-nonskew", "@wide", "--samples", "40", "--seed", "5"],
+        "7bf5a279c9b152f10c4b15520e9f0b093af9502406a84b144185298e8456ace4"),
+}
+
+
+@pytest.mark.parametrize("case", _PINS)
+def test_output_is_pinned(case, tmp_path, capsys):
+    argv, digest = _PINS[case]
+    assert main(_with_files(argv, tmp_path, _PIN_TEXTS)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_verify_all_smoke_json_is_pinned(capsys):
+    assert main(["verify-all", "--level", "smoke", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["wall_time"]
+    for check in doc["checks"]:
+        del check["seconds"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "313fdec4cd0b5e82defd6fcdb3861e573b095e9ad445c0352deda0a723842d37"
