@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import BudgetInfeasible, UnknownFixture
+from .errors import BudgetInfeasible, ToolkitError, UnknownFixture
 from .ir import (
     AND,
     FANIN2,
@@ -28,6 +27,9 @@ from .ir import (
     not_gate,
 )
 from .synth import check_gate_budget, minterm_cascade
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CIRCUIT = "CIRCUIT"
 FORMULA = "FORMULA"
@@ -77,6 +79,10 @@ def _check_budget(shape: str, num_vars: int, size: int) -> None:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ToolkitError(f"seed must be >= 0, got {seed}")
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapExceeded, NonLeafNegation, NotReadOnce, RootNotAllowed, ToolkitError
 from .ir import (
     AND,
@@ -195,6 +193,8 @@ def nonskew_energy_estimate(
     """
     if samples < 1:
         raise ToolkitError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ToolkitError(f"seed must be >= 0, got {seed}")
     n = formula.num_vars
     if n > 64:
         raise CapExceeded(f"n={n}: sampled inputs are drawn as 64-bit indices")
@@ -205,6 +205,8 @@ def nonskew_energy_estimate(
         and g.children
         and all(formula.gates[c].kind == INPUT for c in g.children)
     )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, 1 << n, size=samples, dtype=np.uint64)
     if n <= EVAL_CAP:

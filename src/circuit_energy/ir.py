@@ -559,12 +559,17 @@ class DecisionTree:
         """Leaves are 0/1, and each path reads distinct in-range variables.
         Nodes are checked depth-first, low branch first, on an explicit
         stack, so the depth of a tree is not bounded by the recursion limit.
+        The variables above a node are kept as a list and a set, cut back
+        to the node's depth before its variable is checked, so a huge
+        variable index costs no 2^var bitmask.
         """
         n = self.num_vars
-        stack = [(self.root, 0)]  # (node, bitmask of the variables above it)
+        path: list[int] = []  # the variables above the node being checked
+        on_path: set[int] = set()
+        stack = [(self.root, 0)]  # (node, its depth)
         pop, push = stack.pop, stack.append
         while stack:
-            node, seen = pop()
+            node, depth = pop()
             if isinstance(node, int):
                 if node not in (0, 1):
                     raise ParseError(f"leaf must be 0/1, got {node!r}")
@@ -572,11 +577,14 @@ class DecisionTree:
             var, low, high = node
             if not 0 <= var < n:
                 raise VarOutOfRange(f"x{var} out of range for n={n}")
-            if seen >> var & 1:
+            while len(path) > depth:
+                on_path.discard(path.pop())
+            if var in on_path:
                 raise VarOutOfRange(f"x{var} repeats along a path; tree is not reduced")
-            seen |= 1 << var
-            push((high, seen))
-            push((low, seen))
+            path.append(var)
+            on_path.add(var)
+            push((high, depth + 1))
+            push((low, depth + 1))
 
     def depth(self) -> int:
         return dt_depth_of(self.root)

@@ -54,7 +54,10 @@ firing_patterns returns its distinct patterns as sorted packed rows
 eight gates at a time, one 8x8 bit transpose per 64-bit word of mask bytes,
 and dedupes them as fixed-width byte strings, whose order is tuple order.
 numpy is kept for that transpose, the dedupe and unpacking of the rows, and
-for gathering sampled bits.
+for gathering sampled bits.  It is a hard dependency but loads on first
+use, inside the functions that need it, so importing the package does not
+load it; of the CLI verbs only patterns, extract-dt, fml-nonskew, gen and
+verify-all do.
 """
 
 from __future__ import annotations
@@ -64,11 +67,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, LengthMismatch
 from .ir import AND, INPUT, NOT, OR, Circuit, DecisionTree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EVAL_CAP = 24  # exhaustive sweeps
 MASK_BUDGET = 1 << 27  # bytes of whole-width masks gate_masks may hold
@@ -604,6 +609,8 @@ def energy_moments(circuit: Circuit, at, cap: int | None = None) -> EnergyMoment
     The indices are taken block by block, matched against each block's
     first index whatever order the blocks run in, so no 2^n array is
     built."""
+    import numpy as np
+
     _check_cap(circuit.num_vars, cap, EVAL_CAP)
     at = np.asarray(at, dtype=np.uint64)
     drawn = np.zeros(len(at), dtype=np.uint32)
@@ -654,16 +661,22 @@ class Patterns(Sequence):
         return len(self.rows)
 
     def __getitem__(self, k):
+        import numpy as np
+
         if isinstance(k, slice):
             return Patterns(self.rows[k], self.width)
         return tuple(bytes(np.unpackbits(self.rows[k], count=self.width)))
 
     def __iter__(self):
+        import numpy as np
+
         for lo in range(0, len(self.rows), 1024):
             bits = np.unpackbits(self.rows[lo : lo + 1024], axis=1, count=self.width)
             yield from map(tuple, map(bytes, bits))  # a bytes row iterates as 0/1 ints
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         if isinstance(other, Patterns):
             return self.width == other.width and np.array_equal(self.rows, other.rows)
         if isinstance(other, list):
@@ -675,11 +688,9 @@ class Patterns(Sequence):
 
 
 # delta swaps (mask, shift) that transpose the 8x8 bit matrix of a uint64
-# word, byte r as row r and bit c of a byte as column c
-_TRANSPOSE8 = tuple(
-    (np.uint64(m), np.uint64(s))
-    for m, s in ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0xF0F0F0F0, 28))
-)
+# word, byte r as row r and bit c of a byte as column c; firing_patterns
+# makes them uint64
+_TRANSPOSE8 = ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0xF0F0F0F0, 28))
 
 
 def firing_patterns(circuit: Circuit, cap: int | None = None) -> Patterns:
@@ -688,8 +699,10 @@ def firing_patterns(circuit: Circuit, cap: int | None = None) -> Patterns:
     CONST gates are non-input gates and contribute their (constant) bit;
     pattern entries follow ascending gate id.
     """
+    import numpy as np
+
+    masks = gate_masks(circuit, cap)  # checks the cap before 2^n is built
     total = 1 << circuit.num_vars
-    masks = gate_masks(circuit, cap)
     masks = [m for g, m in zip(circuit.gates, masks) if g.kind != INPUT]
     count = len(masks)
     if not count:
@@ -708,6 +721,7 @@ def firing_patterns(circuit: Circuit, cap: int | None = None) -> Patterns:
     del raw
     t = np.empty_like(words)
     for m, s in _TRANSPOSE8:
+        m, s = np.uint64(m), np.uint64(s)
         np.right_shift(words, s, out=t)
         t ^= words
         t &= m

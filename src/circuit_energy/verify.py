@@ -27,9 +27,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
 from time import perf_counter
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .bounds import check_psens_bound, dt_from_patterns, find_positive_path
 from .corpus import (
@@ -86,6 +84,9 @@ from .synth import (
     fanin2_reduce,
     minterm_cascade,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SMOKE = "smoke"
 FULL = "full"
@@ -511,6 +512,8 @@ def _negation_equivalent(c: Circuit, rng: np.random.Generator) -> Circuit:
 def _kw_cases(level: str):
     """Seeded non-constant monotone circuits, each with a negation-rewritten
     twin, and random (1-input, 0-input) pairs played on both."""
+    import numpy as np
+
     want, pairs_per = (20, 10) if level == SMOKE else (200, 50)
     s = 0
     found = 0

@@ -11,7 +11,7 @@ import pytest
 
 from circuit_energy import TruthTable, bounds, cli, energy_moments, verify
 from circuit_energy.cli import main
-from circuit_energy.corpus import MONOTONE
+from circuit_energy.corpus import MONOTONE, NONSKEW, SHAPES
 from circuit_energy.ir import AND, NOT, UNBOUNDED, Circuit, DecisionTree, Gate
 from circuit_energy.synth import DtCompileResult
 from circuit_energy.textio import parse_netlist, serialize_netlist
@@ -295,15 +295,19 @@ def test_gen_prices_a_dtree_at_its_full_depth(capsys):
     )
 
 
-def test_closed_stdout_is_not_a_crash():
+def _child_env():
+    """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_stdout_is_not_a_crash():
     proc = subprocess.Popen(
         [sys.executable, "-m", "circuit_energy.cli", "patterns", "fixture:cascade_tap(10,0)"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
     )
     proc.stdout.read(10)
     proc.stdout.close()  # the reader goes away, as `| head -c 10` does
@@ -325,11 +329,8 @@ def test_fml_decompose_takes_a_deep_chain(tmp_path, capsys):
 
 def _python_m(*args, stdin=""):
     """``python -m circuit_energy ARGS`` in a fresh interpreter."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-m", "circuit_energy", *args], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
 
 
 def test_python_m_replays_a_witness():
@@ -681,6 +682,42 @@ def test_a_huge_table_header_exits_2_with_one_line(verb, tmp_path, capsys):
     assert err == "error: expected 2^20000 table bits for n=20000, got 2\n"
 
 
+_HUGE_INDEX = {  # verb -> input reading x99999999999, whose 2^var mask is 12.5 GB
+    "patterns": "INPUT x99999999999\nOUTPUT x99999999999\n",
+    "extract-dt": "INPUT x99999999999\nOUTPUT x99999999999\n",
+    "dt2circuit": "(x99999999999 0 1)",
+    "fanin2": "(x99999999999 0 1)",
+}
+_UNDER_1_5_GB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+from circuit_energy.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("verb", _HUGE_INDEX)
+def test_a_huge_variable_index_exits_2_with_one_line(verb, tmp_path):
+    # under a 1.5 GB address-space limit a mask built before the cap check
+    # fails at once with a MemoryError, instead of filling the machine
+    path = tmp_path / "input"
+    path.write_text(_HUGE_INDEX[verb])
+    done = subprocess.run([sys.executable, "-c", _UNDER_1_5_GB, verb, str(path)],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (
+        2, "error: n=100000000000 exceeds the enumeration cap 24\n")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["gen", "--seed", "-1", "--num-vars", "3", "--size", "3", "--shape", shape]
+      for shape in (*SHAPES, NONSKEW)),
+    ["fml-nonskew", "@or2", "--seed", "-1"],
+], ids=[*(f"gen-{shape}" for shape in (*SHAPES, NONSKEW)), "fml-nonskew"])
+def test_a_negative_seed_exits_2_with_one_line(argv, tmp_path, capsys):
+    assert main(_with_files(argv, tmp_path, _TINY)) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("verb, case", _STRUCTURAL_CASES)
 def test_a_structural_fault_exits_2_with_one_line(verb, case, tmp_path, capsys):
     path = tmp_path / "input"
@@ -732,11 +769,8 @@ def _with_files(argv, tmp_path, texts):
 
 def test_numpy_free_verbs_never_load_numpy(tmp_path):
     runs = [_with_files([verb, *rest], tmp_path, _TINY) for verb, rest in _NUMPY_FREE_VERBS.items()]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, timeout=60, env=_child_env())
     assert done.returncode == 0, done.stderr
     want = ["import False"] + [f"{verb} 0 False" for verb in _NUMPY_FREE_VERBS]
     assert done.stdout.splitlines() == want

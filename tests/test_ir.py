@@ -284,6 +284,10 @@ def test_decision_tree_validation():
         DecisionTree(1, (1, 0, 1))
     with pytest.raises(ParseError):
         DecisionTree(1, (0, 2, 1))  # leaf must be 0/1
+    # a variable read in a finished branch is off the path of the next one
+    DecisionTree(3, (0, (1, (2, 0, 1), 1), (2, (1, 0, 1), 0)))
+    with pytest.raises(VarOutOfRange, match="x0 repeats"):
+        DecisionTree(3, (0, (1, (2, 0, 1), 1), (2, (1, 0, (0, 0, 1)), 0)))
 
 
 def test_decision_tree_validation_takes_deep_trees():
