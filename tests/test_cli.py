@@ -10,11 +10,20 @@ import numpy as np
 import pytest
 
 from circuit_energy import TruthTable, bounds, cli, energy_moments, verify
+from circuit_energy.bounds import check_psens_bound, dt_from_patterns
 from circuit_energy.cli import main
-from circuit_energy.corpus import MONOTONE, NONSKEW, SHAPES
-from circuit_energy.ir import AND, NOT, UNBOUNDED, Circuit, DecisionTree, Gate
+from circuit_energy.corpus import FORMULA, MONOTONE, NONSKEW, SHAPES, GenSpec, generate, generate_nonskew
+from circuit_energy.ir import AND, INPUT, NOT, UNBOUNDED, Circuit, DecisionTree, Gate, dt_depth_of, restrict
+from circuit_energy.kw import make_instance, run_protocol
+from circuit_energy.semantics import (
+    energy_exhaustive,
+    evaluate,
+    firing_patterns,
+    is_monotone,
+    truth_table,
+)
 from circuit_energy.synth import DtCompileResult
-from circuit_energy.textio import parse_netlist, serialize_netlist
+from circuit_energy.textio import parse_netlist, serialize_dtree, serialize_netlist
 
 OR2 = "INPUT x0\nINPUT x1\ng = OR x0 x1\nOUTPUT g\n"
 
@@ -850,3 +859,71 @@ def test_verify_all_smoke_json_is_pinned(capsys):
         del check["seconds"]
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == "313fdec4cd0b5e82defd6fcdb3861e573b095e9ad445c0352deda0a723842d37"
+
+
+# --------------------------------------------------------------------------
+# formulas that repeat a variable: the in-process results, pinned
+
+
+def _bits(x):
+    return "".join(map(str, x))
+
+
+def _repeating_formulas():
+    """120 seeded FORMULA and 120 NONSKEW formulas at n <= 6, most of which
+    read some variable at several leaves."""
+    for s in range(120):
+        yield generate(GenSpec(seed=s, num_vars=1 + s % 6, size_budget=1 + s % 12,
+                               neg_density=(s % 4) / 8, shape=FORMULA))
+        yield generate_nonskew(s, 1 + s % 6, 2 + s % 11)
+
+
+def _formula_results(F):
+    """``(text, runs, extra)`` for a generated formula.  ``text`` is its
+    netlist and ``runs`` maps a netlist verb to ``(further argv, exit code,
+    stdout)``, computed in-process on the text read back as a Formula (a
+    netlist does not carry n, so it has 1 + the largest variable read);
+    ``extra`` holds the results no verb prints."""
+    text = serialize_netlist(F)
+    G = parse_netlist(text, formula=True)
+    assert (G.gates, G.output) == (F.gates, F.output)
+    rep = energy_exhaustive(G)
+    runs = {"energy": ([], 0, f"EC={rep.ec} argmax={_bits(rep.argmax_input)}\n")}
+    pc = check_psens_bound(G)
+    runs["psens-check"] = ([], 0 if pc.holds else 1, (
+        f"EC={pc.ec} psens={pc.psens} c={pc.fanin_bound} holds={'yes' if pc.holds else 'no'} "
+        f"witness={_bits(pc.witness_input)}\n"))
+    tr = dt_from_patterns(G)
+    depth, budget = dt_depth_of(tr.extracted_tree.root), tr.max_fanin * tr.pattern_count
+    ok = depth <= budget and (tr.dt_oracle is None or tr.dt_oracle <= budget)
+    runs["extract-dt"] = ([], 0 if ok else 1, (
+        f"size={tr.size} EC={tr.energy} patterns={tr.pattern_count} maxFanin={tr.max_fanin} "
+        f"depth={depth} budget={budget}" + (f" DT={tr.dt_oracle}" if tr.dt_oracle is not None else "")
+        + "\n" + serialize_dtree(tr.extracted_tree) + "\n"))
+    ones, zeros = (1,) * G.num_vars, (0,) * G.num_vars
+    f = truth_table(G)
+    if is_monotone(f) and f.value_at(ones) and not f.value_at(zeros):
+        kw = run_protocol(make_instance(G, ones, zeros))
+        bound = evaluate(G, kw.minimized_input).energy * kw.addr_bits
+        runs["kw-run"] = (["--alice", _bits(ones), "--bob", _bits(zeros)],
+                          0 if kw.alice_bits <= bound else 1, (
+            f"result=x{kw.result} aliceBits={kw.alice_bits} bobBits={kw.bob_bits} "
+            f"syncBits={kw.sync_bits} repairs={kw.repairs} "
+            f"minimized={_bits(kw.minimized_input)} bound={bound}\n"))
+    extra = (G.num_vars, len(firing_patterns(G)), restrict(G, {0: 1}).gates)
+    return text, runs, extra
+
+
+def test_formulas_that_repeat_a_variable_are_pinned():
+    # kw-run's Bob answers once per INPUT gate reached, so a repeated
+    # variable costs a bit per leaf; the pin keeps that count
+    digest = hashlib.sha256()
+    repeats = kw = 0
+    for F in _repeating_formulas():
+        text, runs, extra = _formula_results(F)
+        leaves = [g.arg for g in F.gates if g.kind == INPUT]
+        repeats += len(set(leaves)) < len(leaves)
+        kw += "kw-run" in runs
+        digest.update(repr((text, runs, extra)).encode())
+    assert (repeats, kw) == (210, 178)
+    assert digest.hexdigest() == "8464d6dfffbec82375ca47d7f6feff34d78c635753ee03a0ec0af94e3b9da0c7"
