@@ -13,7 +13,6 @@ from .errors import (
     BudgetInfeasible,
     CapExceeded,
     CycleOrForwardRef,
-    DuplicateInputVar,
     IncompatibleArity,
     LengthMismatch,
     NoPathFound,

@@ -22,7 +22,7 @@ from .formulas import (
     nonskew_energy_estimate,
     readonce_leafneg_energy,
 )
-from .ir import DecisionTree, dt_depth_of, parse_fanin_mode, structural_stats
+from .ir import DecisionTree, as_formula, dt_depth_of, parse_fanin_mode, structural_stats
 from .kw import make_instance, run_protocol
 from .semantics import EVAL_CAP, _check_cap, energy_exhaustive, evaluate, firing_patterns
 from .synth import compile_truth_table, dt_to_circuit, fanin2_reduce
@@ -46,11 +46,7 @@ def _load_circuit(arg: str, formula: bool = False):
     """A netlist path, '-' for stdin, or fixture:<name>."""
     if arg.startswith("fixture:"):
         c = fixture(arg[len("fixture:") :])
-        if formula:
-            from .ir import as_formula
-
-            return as_formula(c)
-        return c
+        return as_formula(c) if formula else c
     return parse_netlist(_read(arg), formula=formula)
 
 

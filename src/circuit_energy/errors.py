@@ -2,7 +2,8 @@
 
 Every structural precondition gets its own exception class so callers (and the
 CLI) can tell a malformed artifact from a failed mathematical check.  All of
-them derive from ToolkitError.
+them derive from ToolkitError.  A variable read by several INPUT gates is no
+fault: a circuit, like a formula, may read it at several leaves.
 """
 
 
@@ -24,10 +25,6 @@ class CycleOrForwardRef(ToolkitError):
 
 class ArityViolation(ToolkitError):
     """A gate's child count is illegal for its kind or the circuit's fan-in mode."""
-
-
-class DuplicateInputVar(ToolkitError):
-    """Two INPUT gates claim the same variable in a plain circuit."""
 
 
 class VarOutOfRange(ToolkitError):

@@ -169,6 +169,10 @@ def readonce_leafneg_energy(formula: Formula, cap: int | None = None) -> ReadOnc
 # --------------------------------------------------------------------------
 # skew-free mean energy
 
+#: most inputs ``nonskew_energy_estimate`` draws, checked before numpy
+#: allocates them: each costs `fml-nonskew` about 65 bytes of peak memory
+SAMPLE_CAP = 1 << 20
+
 
 @dataclass(slots=True)
 class NonSkewStats:
@@ -193,6 +197,8 @@ def nonskew_energy_estimate(
     """
     if samples < 1:
         raise ToolkitError(f"samples must be >= 1, got {samples}")
+    if samples > SAMPLE_CAP:
+        raise CapExceeded(f"samples={samples} exceeds the sample cap {SAMPLE_CAP}")
     if seed < 0:
         raise ToolkitError(f"seed must be >= 0, got {seed}")
     n = formula.num_vars

@@ -34,7 +34,6 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .errors import (
     ArityViolation,
     CycleOrForwardRef,
-    DuplicateInputVar,
     NotAFormula,
     ParseError,
     UnknownGateRef,
@@ -143,10 +142,11 @@ def parse_fanin_mode(text: str) -> FaninMode:
 class Circuit:
     """A topologically ordered gate list with a designated output.
 
-    ``gates[i]`` has id ``i``; children of gate ``i`` are all ``< i``.  At most
-    one INPUT gate per variable (formulas relax this, see :class:`Formula`).
-    Construction validates by default; internal builders that construct gates
-    in bulk pass ``validate=False`` and the test suite re-validates.
+    ``gates[i]`` has id ``i``; children of gate ``i`` are all ``< i``.  A
+    variable may have several INPUT gates, as a formula that reads it at
+    several leaves does.  Construction validates by default; internal
+    builders that construct gates in bulk pass ``validate=False`` and the
+    test suite re-validates.
 
     ``swept`` belongs to ``semantics``: None until a circuit of at most 2^16
     inputs is first swept, then every gate's mask over all of them, kept
@@ -175,12 +175,11 @@ class Circuit:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, *, allow_duplicate_inputs: bool = False) -> None:
+    def validate(self) -> None:
         if self.num_vars < 0:
             raise VarOutOfRange(f"numVars must be >= 0, got {self.num_vars}")
         n_gates = len(self.gates)
         limit = self.fanin_mode.limit()
-        seen_vars: set[int] = set()
         for gid, g in enumerate(self.gates):
             for c in g.children:
                 if c < 0 or c >= n_gates:
@@ -196,9 +195,6 @@ class Circuit:
                     raise VarOutOfRange(
                         f"gate {gid}: variable x{g.arg} out of range for n={self.num_vars}"
                     )
-                if g.arg in seen_vars and not allow_duplicate_inputs:
-                    raise DuplicateInputVar(f"variable x{g.arg} has two INPUT gates")
-                seen_vars.add(g.arg)
             elif g.kind == CONST:
                 if g.children:
                     raise ArityViolation(f"CONST gate {gid} has children")
@@ -248,27 +244,14 @@ class Formula(Circuit):
     """A circuit whose non-output gates each feed exactly one gate.
 
     Leaves are INPUT gates; a variable that occurs in several leaves gets one
-    INPUT gate per occurrence, so the one-INPUT-per-variable rule is relaxed.
-    ``leaves()`` is the leaf-count L (CONST leaves do not count).
+    INPUT gate per occurrence.  ``leaves()`` is the leaf-count L (CONST leaves
+    do not count).
     """
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        num_vars: int,
-        gates: Iterable[Gate],
-        output: int,
-        fanin_mode: FaninMode = UNBOUNDED,
-        *,
-        validate: bool = True,
-    ) -> None:
-        super().__init__(num_vars, gates, output, fanin_mode, validate=False)
-        if validate:
-            self.validate()
-
-    def validate(self, *, allow_duplicate_inputs: bool = True) -> None:
-        super().validate(allow_duplicate_inputs=True)
+    def validate(self) -> None:
+        super().validate()
         fanout = [0] * len(self.gates)
         for g in self.gates:
             for c in g.children:

@@ -67,7 +67,8 @@ def run_protocol(instance: KwInstance, cap: int | None = None) -> KwTranscript:
     """Simulate both parties.  Alice announces, for each OR gate on the
     explored firing cone, which child fires (lowest id, once per gate); AND
     gates cost nothing since all their children fire.  Bob answers one bit per
-    INPUT gate reached: whether his bit is 0 there.
+    INPUT gate reached: whether his bit is 0 there.  So a variable read at
+    several leaves, as in a formula, is answered once per leaf reached.
 
     Cone exploration starts from the output and from every gate feeding a NOT
     (the cone of a' can be blocked from the root by negations; each such entry

@@ -79,10 +79,10 @@ def parse_netlist(
     formula: bool = False,
     fanin_mode: FaninMode | None = None,
 ) -> Circuit:
-    """Parse a netlist.  ``formula=True`` builds a Formula (tree shape is then
-    validated and duplicate INPUT variables are allowed).  When ``fanin_mode``
-    is omitted it is inferred: FANIN2 if no AND/OR has more than two children,
-    UNBOUNDED otherwise."""
+    """Parse a netlist.  ``formula=True`` builds a Formula, whose tree shape
+    is then validated.  A variable may have several INPUT lines; its name
+    ``x<k>`` names the first.  When ``fanin_mode`` is omitted it is inferred:
+    FANIN2 if no AND/OR has more than two children, UNBOUNDED otherwise."""
     new = tuple.__new__  # Gate's own constructor is a Python call
     gates: list[Gate] = []
     emit = gates.append
@@ -97,7 +97,7 @@ def parse_netlist(
             var = int(m.group(1))
             emit(new(Gate, (INPUT, (), var)))
             name = f"x{var}"
-            if name not in explicit:  # a formula may repeat a variable
+            if name not in explicit:  # a repeated variable keeps its first gate
                 explicit.add(name)
                 names[name] = gid
             names.setdefault(f"g{gid}", gid)

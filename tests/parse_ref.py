@@ -56,7 +56,7 @@ def parse_netlist(text, *, formula=False, fanin_mode=None):
             var = int(m.group(1))
             gid = len(gates)
             gates.append(Gate(INPUT, (), var))
-            if f"x{var}" not in explicit:  # a formula may repeat a variable
+            if f"x{var}" not in explicit:  # a repeated variable keeps its first gate
                 explicit.add(f"x{var}")
                 names[f"x{var}"] = gid
             names.setdefault(f"g{gid}", gid)

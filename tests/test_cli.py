@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,19 @@ import pytest
 from circuit_energy import TruthTable, bounds, cli, energy_moments, verify
 from circuit_energy.bounds import check_psens_bound, dt_from_patterns
 from circuit_energy.cli import main
-from circuit_energy.corpus import FORMULA, MONOTONE, NONSKEW, SHAPES, GenSpec, generate, generate_nonskew
+from circuit_energy.corpus import (
+    CIRCUIT,
+    DTREE,
+    FORMULA,
+    MONOTONE,
+    NONSKEW,
+    READONCE_LEAFNEG,
+    SHAPES,
+    GenSpec,
+    generate,
+    generate_nonskew,
+)
+from circuit_energy.formulas import SAMPLE_CAP
 from circuit_energy.ir import AND, INPUT, NOT, UNBOUNDED, Circuit, DecisionTree, Gate, dt_depth_of, restrict
 from circuit_energy.kw import make_instance, run_protocol
 from circuit_energy.semantics import (
@@ -649,12 +662,8 @@ _OPTION_VERBS = {  # verb -> {case: argv}
 _STRUCTURAL = {  # netlists that read well but break a structural rule of validate
     "not-arity": "INPUT x0\nINPUT x1\ng = NOT x0 x1\nOUTPUT g\n",
     "and-arity": "INPUT x0\ng = AND x0\nOUTPUT g\n",
-    "duplicate-input": "INPUT x0\nINPUT x1\nINPUT x0\ng = AND x0 x1\nh = AND g g2\nOUTPUT h\n",
 }
-_STRUCTURAL_CASES = [  # a formula may repeat a variable, so only plain netlists refuse it
-    (verb, case) for verb, (kind, _) in _FILE_VERBS.items() for case in _STRUCTURAL
-    if kind == "netlist" or (kind == "formula" and case != "duplicate-input")
-]
+_NETLIST_VERBS = [verb for verb, (kind, _) in _FILE_VERBS.items() if kind in ("netlist", "formula")]
 
 
 def test_every_verb_has_bad_input_cases():
@@ -717,6 +726,18 @@ def test_a_huge_variable_index_exits_2_with_one_line(verb, tmp_path):
         2, "error: n=100000000000 exceeds the enumeration cap 24\n")
 
 
+@pytest.mark.parametrize("samples", [SAMPLE_CAP + 1, 10_000_000_000_000])
+def test_a_huge_sample_count_exits_2_with_one_line(samples, tmp_path):
+    # refused before numpy allocates the draws, which would not fit in 1.5 GB
+    path = tmp_path / "input"
+    path.write_text(OR2)
+    done = subprocess.run([sys.executable, "-c", _UNDER_1_5_GB, "fml-nonskew", str(path),
+                           "--samples", str(samples)],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (
+        2, f"error: samples={samples} exceeds the sample cap 1048576\n")
+
+
 @pytest.mark.parametrize("argv", [
     *(["gen", "--seed", "-1", "--num-vars", "3", "--size", "3", "--shape", shape]
       for shape in (*SHAPES, NONSKEW)),
@@ -727,13 +748,67 @@ def test_a_negative_seed_exits_2_with_one_line(argv, tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("verb, case", _STRUCTURAL_CASES)
+@pytest.mark.parametrize("case", _STRUCTURAL)
+@pytest.mark.parametrize("verb", _NETLIST_VERBS)
 def test_a_structural_fault_exits_2_with_one_line(verb, case, tmp_path, capsys):
     path = tmp_path / "input"
     path.write_text(_STRUCTURAL[case])
     assert main([verb, str(path), *_FILE_VERBS[verb][1]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# every shape gen writes, read by every verb that takes it
+
+
+_REFUSALS = {  # a well-formed input some verbs still refuse, by its error's message
+    "NotAFormula": r"(output )?gate g\d+ feeds \d+ gates(; a formula gate feeds exactly 1)?",
+    "NotMonotone": r"the circuit does not compute a monotone function",
+    "NotAOneInput": r"f\(\d+\) = [01], (Alice|Bob) needs a [01]-input",
+}
+_REPEATED_X0 = "INPUT x0\nINPUT x1\nINPUT x0\ng = AND x0 x1\nh = AND g g2\nOUTPUT h\n"
+_ROWS = {  # row -> the verbs that read it
+    **{shape: ["dt2circuit", "fanin2"] if shape == DTREE else _NETLIST_VERBS
+       for shape in (*SHAPES, NONSKEW)},
+    "repeated-x0": _NETLIST_VERBS,
+}
+
+
+def _row_texts(row, capsys):
+    """The texts of a row: ``gen`` at seeds 1-4 and n = 3..6, or one netlist."""
+    if row == "repeated-x0":
+        return [_REPEATED_X0]
+    texts = []
+    for seed in range(1, 5):
+        n = 2 + seed
+        size = n if row in (READONCE_LEAFNEG, DTREE) else 2 * n
+        assert main(["gen", "--seed", str(seed), "--num-vars", str(n), "--size", str(size),
+                     "--neg-density", "0.3", "--shape", row]) == 0
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+@pytest.mark.parametrize("row, verb", [(row, verb) for row, verbs in _ROWS.items() for verb in verbs])
+def test_each_shape_reads_in_each_verb(row, verb, tmp_path, capsys):
+    refusals = []
+    if verb == "kw-run":
+        refusals = ["NotMonotone", "NotAOneInput"]
+    elif verb.startswith("fml-") and row in (CIRCUIT, MONOTONE):
+        refusals = ["NotAFormula"]
+    refused = "|".join(_REFUSALS[r] for r in refusals)
+    path = tmp_path / "input"
+    for text in _row_texts(row, capsys):
+        path.write_text(text)
+        n = 1 + max(map(int, re.findall(r"^INPUT x(\d+)$", text, re.M)), default=-1)
+        rest = {"eval": ["--input", "1" * n], "kw-run": ["--alice", "1" * n, "--bob", "0" * n],
+                "fml-nonskew": ["--samples", "50"]}.get(verb, [])
+        rc = main([verb, str(path), *rest])
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert refused and re.fullmatch(f"error: ({refused})\n", err), (text, err)
+        else:
+            assert rc in (0, 1) and err == "", (text, rc, err)
 
 
 # --------------------------------------------------------------------------
@@ -865,10 +940,6 @@ def test_verify_all_smoke_json_is_pinned(capsys):
 # formulas that repeat a variable: the in-process results, pinned
 
 
-def _bits(x):
-    return "".join(map(str, x))
-
-
 def _repeating_formulas():
     """120 seeded FORMULA and 120 NONSKEW formulas at n <= 6, most of which
     read some variable at several leaves."""
@@ -888,11 +959,11 @@ def _formula_results(F):
     G = parse_netlist(text, formula=True)
     assert (G.gates, G.output) == (F.gates, F.output)
     rep = energy_exhaustive(G)
-    runs = {"energy": ([], 0, f"EC={rep.ec} argmax={_bits(rep.argmax_input)}\n")}
+    runs = {"energy": ([], 0, f"EC={rep.ec} argmax={cli._bitstring(rep.argmax_input)}\n")}
     pc = check_psens_bound(G)
     runs["psens-check"] = ([], 0 if pc.holds else 1, (
         f"EC={pc.ec} psens={pc.psens} c={pc.fanin_bound} holds={'yes' if pc.holds else 'no'} "
-        f"witness={_bits(pc.witness_input)}\n"))
+        f"witness={cli._bitstring(pc.witness_input)}\n"))
     tr = dt_from_patterns(G)
     depth, budget = dt_depth_of(tr.extracted_tree.root), tr.max_fanin * tr.pattern_count
     ok = depth <= budget and (tr.dt_oracle is None or tr.dt_oracle <= budget)
@@ -905,22 +976,27 @@ def _formula_results(F):
     if is_monotone(f) and f.value_at(ones) and not f.value_at(zeros):
         kw = run_protocol(make_instance(G, ones, zeros))
         bound = evaluate(G, kw.minimized_input).energy * kw.addr_bits
-        runs["kw-run"] = (["--alice", _bits(ones), "--bob", _bits(zeros)],
+        runs["kw-run"] = (["--alice", cli._bitstring(ones), "--bob", cli._bitstring(zeros)],
                           0 if kw.alice_bits <= bound else 1, (
             f"result=x{kw.result} aliceBits={kw.alice_bits} bobBits={kw.bob_bits} "
             f"syncBits={kw.sync_bits} repairs={kw.repairs} "
-            f"minimized={_bits(kw.minimized_input)} bound={bound}\n"))
+            f"minimized={cli._bitstring(kw.minimized_input)} bound={bound}\n"))
     extra = (G.num_vars, len(firing_patterns(G)), restrict(G, {0: 1}).gates)
     return text, runs, extra
 
 
-def test_formulas_that_repeat_a_variable_are_pinned():
+def test_formulas_that_repeat_a_variable_are_pinned(tmp_path, capsys):
     # kw-run's Bob answers once per INPUT gate reached, so a repeated
     # variable costs a bit per leaf; the pin keeps that count
     digest = hashlib.sha256()
     repeats = kw = 0
+    path = tmp_path / "formula.cir"
     for F in _repeating_formulas():
         text, runs, extra = _formula_results(F)
+        path.write_text(text)
+        for verb, (rest, code, out) in runs.items():  # the CLI prints the same
+            assert main([verb, str(path), *rest]) == code
+            assert capsys.readouterr() == (out, ""), (verb, text)
         leaves = [g.arg for g in F.gates if g.kind == INPUT]
         repeats += len(set(leaves)) < len(leaves)
         kw += "kw-run" in runs

@@ -14,7 +14,6 @@ from circuit_energy import (
     Circuit,
     CycleOrForwardRef,
     DecisionTree,
-    DuplicateInputVar,
     Formula,
     Gate,
     NotAFormula,
@@ -123,9 +122,12 @@ def test_fanin_parameter_is_the_mode_limit_or_the_actual_fanin():
     assert Circuit(1, [input_gate(0), not_gate(0)], 1, UNBOUNDED).fanin_parameter() == 2
 
 
-def test_duplicate_input_var_rejected_for_circuits():
-    with pytest.raises(DuplicateInputVar):
-        mk([input_gate(0), input_gate(0), and_gate(0, 1)], 2, n=1)
+def test_a_circuit_may_repeat_a_variable():
+    # both INPUT gates read x0; gate 0 feeds two gates, so it is no formula
+    c = mk([input_gate(0), input_gate(0), and_gate(0, 1), or_gate(0, 2)], 3, n=1)
+    assert truth_table(c).bits == 0b10
+    with pytest.raises(NotAFormula):
+        as_formula(c)
 
 
 def test_var_out_of_range():

@@ -219,7 +219,6 @@ _BAD_NETLISTS = [  # one per raise site that a text can reach
     "INPUT x0\nx0 = NOT x0\nOUTPUT x0\n",
     "INPUT x0\ng = NOT x0\n",  # no OUTPUT line
     # the structural rules of Circuit.validate and Formula.validate
-    "INPUT x0\nINPUT x0\ng = AND x0 g1\nOUTPUT g\n",  # two INPUT gates for x0
     "INPUT x0\nINPUT x1\ng = NOT x0 x1\nOUTPUT g\n",  # NOT arity
     "INPUT x0\ng = NOT\nOUTPUT g\n",
     "INPUT x0\ng = AND x0\nOUTPUT g\n",  # AND/OR arity
@@ -269,6 +268,8 @@ _HAND_NETLISTS = [
     "INPUT x0\nINPUT x1\nINPUT x2\ng = AND x0 x1 x2\nh = OR g x0\nOUTPUT h\n",
     "INPUT x0\nINPUT x1\nINPUT x2\ng = NOT x0 x1 x2\nOUTPUT g\n",
     "INPUT x0\nINPUT x1\ng = AND x0 x1 zz\nOUTPUT g\n",
+    # a variable with two INPUT gates, x0 naming the first
+    "INPUT x0\nINPUT x0\ng = AND x0 g1\nOUTPUT g\n",
     # several faults: the first in line order, then in gate order, wins
     "INPUT x0\nINPUT x0\ng = NOT x0 x0\nOUTPUT g\n",
     "INPUT x0\ng = NOT x0 x0\nINPUT x0\nOUTPUT g\n",
