@@ -5,9 +5,9 @@ extraction with its size/energy tradeoff report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
+from typing import NamedTuple
 
 from .errors import NoPathFound
 from .ir import AND, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree, dt_depth_of, forced
@@ -30,8 +30,7 @@ from .semantics import (
 # continuous positive paths
 
 
-@dataclass(slots=True)
-class PositivePath:
+class PositivePath(NamedTuple):
     gate_ids: tuple[int, ...]  # INPUT gate first, then child-to-parent upward
     terminal: str  # "ROOT" | "FEEDS_NOT"
     not_gate_id: int | None  # set iff terminal == "FEEDS_NOT"
@@ -92,15 +91,16 @@ def find_positive_path(circuit: Circuit, a, i: int, cap: int | None = None) -> P
     while end // size % size:  # above level 0: down to the parent
         end = min(map(keys.__getitem__, gates[end % size].children))
         path.append(end % size)
-    return PositivePath(tuple(reversed(path)), "ROOT" if nid is None else "FEEDS_NOT", nid, a, i)
+    terminal = "ROOT" if nid is None else "FEEDS_NOT"
+    # built as in evaluate: a NamedTuple's own constructor is a Python call
+    return tuple.__new__(PositivePath, (tuple(reversed(path)), terminal, nid, a, i))
 
 
 # --------------------------------------------------------------------------
 # psens bound
 
 
-@dataclass(slots=True)
-class PsensCheck:
+class PsensCheck(NamedTuple):
     ec: int
     psens: int
     fanin_bound: int  # the c in EC >= psens/(c+1)
@@ -129,8 +129,7 @@ def check_psens_bound(circuit: Circuit, cap: int | None = None) -> PsensCheck:
 # firing patterns -> decision tree
 
 
-@dataclass(slots=True)
-class TradeoffReport:
+class TradeoffReport(NamedTuple):
     size: int
     energy: int
     pattern_count: int

@@ -8,10 +8,9 @@ depend on call order).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import BudgetInfeasible, ToolkitError, UnknownFixture
+from .errors import BudgetInfeasible, CapExceeded, ToolkitError, UnknownFixture
 from .ir import (
     AND,
     FANIN2,
@@ -26,7 +25,7 @@ from .ir import (
     input_gate,
     not_gate,
 )
-from .synth import check_gate_budget, minterm_cascade
+from .synth import GATE_BUDGET, check_gate_budget, minterm_cascade
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,6 +37,11 @@ MONOTONE = "MONOTONE"
 DTREE = "DTREE"
 SHAPES = (CIRCUIT, FORMULA, READONCE_LEAFNEG, MONOTONE, DTREE)
 NONSKEW = "NONSKEW"
+
+# the corpus levels of ``verify``: ``FULL`` is the acceptance configuration,
+# ``SMOKE`` a small slice of it
+SMOKE = "smoke"
+FULL = "full"
 
 # the least num_vars and size budget each shape can build from: circuits and
 # formulas draw their leaves from the variables, and formulas need one leaf
@@ -51,8 +55,7 @@ _LEAST = {
 }
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     seed: int
     num_vars: int
     size_budget: int  # op gates (circuits), leaves (formulas), depth (trees)
@@ -61,7 +64,9 @@ class GenSpec:
     fanin_mode: FaninMode = FANIN2
 
 
-def _check_budget(shape: str, num_vars: int, size: int) -> None:
+def _check_budget(shape: str, num_vars: int, size: int, cap: int | None = None) -> None:
+    """Refuse budgets the shape cannot build from or that are too large to
+    build, before the first draw.  ``cap`` is the c of BOUNDED:c."""
     least_n, least_size = _LEAST[shape]
     if num_vars < least_n or size < least_size:
         raise BudgetInfeasible(
@@ -71,6 +76,13 @@ def _check_budget(shape: str, num_vars: int, size: int) -> None:
     check_gate_budget(
         f"a {shape} of {num_vars} variables and size {size}", num_vars + size
     )
+    if cap is not None and shape in (CIRCUIT, MONOTONE) and size * cap > GATE_BUDGET:
+        # each op gate draws up to c children; FANIN2 and UNBOUNDED draw at
+        # most 4, which the gate budget above already bounds
+        raise CapExceeded(
+            f"a {shape} of size {size} with fan-in bound {cap} may draw {size * cap} "
+            f"children, over the {GATE_BUDGET} budget"
+        )
     if shape == DTREE:
         # _gen_dtree branches at three nodes in four, so its node count grows
         # about as 1.5^depth: price the full tree of the depth it can reach
@@ -164,7 +176,9 @@ def generate(spec: GenSpec):
     """
     if spec.shape not in SHAPES:
         raise ValueError(f"unknown shape {spec.shape!r}")
-    _check_budget(spec.shape, spec.num_vars, spec.size_budget)
+    if not 0 <= spec.neg_density <= 1:  # also refuses nan
+        raise ToolkitError(f"neg_density must lie in [0, 1], got {spec.neg_density}")
+    _check_budget(spec.shape, spec.num_vars, spec.size_budget, spec.fanin_mode.cap)
     rng = _rng(spec.seed)
     if spec.shape in (CIRCUIT, MONOTONE):
         return _gen_circuit(spec, rng, monotone=spec.shape == MONOTONE)

@@ -5,7 +5,7 @@ leaf-negated exact value, and the mean-energy floor for skew-free formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, NonLeafNegation, NotReadOnce, RootNotAllowed, ToolkitError
 from .ir import (
@@ -32,8 +32,7 @@ from .semantics import EVAL_CAP, energy_exhaustive, energy_moments, evaluate, ma
 # restriction stability: EC(D|b) <= EC(D) + Depth(D)
 
 
-@dataclass(slots=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     ec_restricted: int
     ec: int
     depth: int
@@ -62,8 +61,7 @@ def restriction_energy_check(
 # block decomposition
 
 
-@dataclass(slots=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     f_prime: Formula
     blocks: tuple[tuple[int, int], ...]  # inclusive gate-id ranges, negation-free
     skeleton_gates: tuple[int, ...]  # gates of f_prime outside every block
@@ -138,8 +136,7 @@ def decompose_gk(formula: Formula) -> DecompositionResult:
 # read-once formulas with negations only at the leaves
 
 
-@dataclass(slots=True)
-class ReadOnceReport:
+class ReadOnceReport(NamedTuple):
     ec: int  # counting binary gates only; leaf NOTs are literal markers
     leaf_count: int
     equal: bool  # ec == leaf_count - 1
@@ -174,15 +171,34 @@ def readonce_leafneg_energy(formula: Formula, cap: int | None = None) -> ReadOnc
 SAMPLE_CAP = 1 << 20
 
 
-@dataclass(slots=True)
 class NonSkewStats:
-    t: int  # gates whose children are all leaves
-    sample_count: int
-    empirical_mean_energy: float
-    lower_envelope: float  # t / 4
-    exact_mean: float | None  # None above EVAL_CAP variables
-    exact_energy_total: int | None
-    exact_square_total: int | None  # sum of the squared energy over all inputs
+    """The only mutable result record: a caller may overwrite a field, such
+    as the sample mean, to see what the check above it makes of that."""
+
+    __slots__ = ("t", "sample_count", "empirical_mean_energy", "lower_envelope",
+                 "exact_mean", "exact_energy_total", "exact_square_total")
+
+    def __init__(self, t, sample_count, empirical_mean_energy, lower_envelope,
+                 exact_mean, exact_energy_total, exact_square_total):
+        self.t = t  # gates whose children are all leaves
+        self.sample_count = sample_count
+        self.empirical_mean_energy = empirical_mean_energy
+        self.lower_envelope = lower_envelope  # t / 4
+        self.exact_mean = exact_mean  # None above EVAL_CAP variables
+        self.exact_energy_total = exact_energy_total
+        self.exact_square_total = exact_square_total  # sum of the squared energy
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"NonSkewStats({body})"
+
+    def __eq__(self, other):
+        if type(other) is not NonSkewStats:
+            return NotImplemented
+        return self._values() == other._values()
 
 
 def nonskew_energy_estimate(
@@ -232,8 +248,7 @@ def nonskew_energy_estimate(
 # convenience: headline numbers for one formula
 
 
-@dataclass(slots=True)
-class FormulaStats:
+class FormulaStats(NamedTuple):
     leaves: int
     size: int
     depth: int

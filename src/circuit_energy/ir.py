@@ -26,7 +26,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -88,8 +87,7 @@ def or_gate(*children: int) -> Gate:
 # fan-in modes
 
 
-@dataclass(frozen=True, slots=True)
-class FaninMode:
+class FaninMode(NamedTuple):
     kind: str  # "FANIN2" | "BOUNDED" | "UNBOUNDED"
     cap: int | None = None
 
@@ -286,8 +284,7 @@ def as_formula(circuit: Circuit) -> Formula:
 # structural stats
 
 
-@dataclass(slots=True)
-class StructuralStats:
+class StructuralStats(NamedTuple):
     size: int  # AND/OR/NOT gates
     depth: int  # longest output-to-source path, in edges
     negs: int  # NOT gates

@@ -8,7 +8,7 @@ most EC(C, a') * ceil(log2 c) bits for fan-in c circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoSensitiveIndexFound, NotAOneInput, NotMonotone
 from .ir import AND, INPUT, NOT, OR, Circuit
@@ -16,8 +16,7 @@ from .semantics import TruthTable, evaluate, is_monotone, psens_at, truth_table
 from .bounds import find_positive_path
 
 
-@dataclass(slots=True)
-class KwInstance:
+class KwInstance(NamedTuple):
     circuit: Circuit
     a: tuple  # Alice's input, f(a) = 1
     b: tuple  # Bob's input, f(b) = 0
@@ -52,8 +51,7 @@ def minimize_one_input(f: TruthTable, a) -> tuple:
     return tuple(a)
 
 
-@dataclass(slots=True)
-class KwTranscript:
+class KwTranscript(NamedTuple):
     result: int  # index with a'_i = 1, b_i = 0
     alice_bits: int  # total path-address bits sent by Alice
     bob_bits: int  # verdict bits sent by Bob

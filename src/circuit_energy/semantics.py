@@ -63,11 +63,10 @@ verify-all do.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapExceeded, LengthMismatch
 from .ir import AND, INPUT, NOT, OR, Circuit, DecisionTree
@@ -422,9 +421,12 @@ def equivalent(c1: Circuit, c2: Circuit, cap: int | None = None) -> bool:
 # --------------------------------------------------------------------------
 # evaluation traces and energy
 
+# the hot records are built as tuple.__new__(Record, values): a NamedTuple's
+# own constructor is a Python call
+_new = tuple.__new__
 
-@dataclass(slots=True)
-class EvalTrace:
+
+class EvalTrace(NamedTuple):
     input: tuple
     gate_values: tuple  # all gates, in id order (INPUT and CONST included)
     value: int
@@ -453,7 +455,7 @@ def evaluate(circuit: Circuit, x) -> EvalTrace:
         bit = 1 << sum(b << i for i, b in enumerate(x))
         vals = [1 if m & bit else 0 for m in masks]
         energy = sum(compress(vals, map(itemgetter(1), gates)))
-        return EvalTrace(x, tuple(vals), vals[circuit.output], energy)
+        return _new(EvalTrace, (x, tuple(vals), vals[circuit.output], energy))
     vals = []
     energy = 0
     for kind, ch, arg in gates:
@@ -474,11 +476,10 @@ def evaluate(circuit: Circuit, x) -> EvalTrace:
             continue
         energy += v
         vals.append(v)
-    return EvalTrace(x, tuple(vals), vals[circuit.output], energy)
+    return _new(EvalTrace, (x, tuple(vals), vals[circuit.output], energy))
 
 
-@dataclass(slots=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     ec: int
     argmax_input: tuple
 
@@ -594,8 +595,7 @@ def max_firing(circuit: Circuit, cap: int | None = None, counted=None) -> tuple[
     return best, tuple((arg >> i) & 1 for i in range(circuit.num_vars))
 
 
-@dataclass(slots=True)
-class EnergyMoments:
+class EnergyMoments(NamedTuple):
     total: int  # sum of the energy over all 2^n inputs
     square_total: int  # sum of its square
     drawn: np.ndarray  # uint32 energy at each requested input index
@@ -637,7 +637,7 @@ def energy_moments(circuit: Circuit, at, cap: int | None = None) -> EnergyMoment
 
 def energy_exhaustive(circuit: Circuit, cap: int | None = None) -> EnergyReport:
     """EC(C) with the first input (little-endian order) attaining it."""
-    return EnergyReport(*max_firing(circuit, cap))
+    return _new(EnergyReport, max_firing(circuit, cap))
 
 
 class Patterns(Sequence):
@@ -740,8 +740,7 @@ def firing_patterns(circuit: Circuit, cap: int | None = None) -> Patterns:
 # positive sensitivity
 
 
-@dataclass(slots=True)
-class PsensReport:
+class PsensReport(NamedTuple):
     value: int
     witness_input: tuple
     witness_indices: set
@@ -815,8 +814,7 @@ def is_monotone(f: TruthTable, cap: int | None = None) -> bool:
 # optimal decision-tree depth
 
 
-@dataclass(slots=True)
-class DtDepthResult:
+class DtDepthResult(NamedTuple):
     depth: int
     optimal_tree: DecisionTree
 

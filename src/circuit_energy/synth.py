@@ -12,9 +12,9 @@ lays out in the same gate order and meets no recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import CapExceeded, IncompatibleArity, VarOutOfRange
 from .ir import (
@@ -145,8 +145,7 @@ class _Table:
 # minterm cascade
 
 
-@dataclass(slots=True)
-class MintermCascade:
+class MintermCascade(NamedTuple):
     circuit: Circuit  # multi-tap: all taps are live gates, output = top tap
     n: int
     taps: tuple[int, ...]  # gate id of the minterm for input j, little-endian
@@ -281,8 +280,7 @@ def _compiled_branches(t) -> tuple:
     return t[1:]
 
 
-@dataclass(slots=True)
-class DtCompileResult:
+class DtCompileResult(NamedTuple):
     circuit: Circuit  # UNBOUNDED mode; every AND ends with its guard literals
     tree_depth: int
 

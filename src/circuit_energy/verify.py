@@ -34,8 +34,10 @@ from .corpus import (
     CIRCUIT,
     DTREE,
     FORMULA,
+    FULL,
     MONOTONE,
     READONCE_LEAFNEG,
+    SMOKE,
     GenSpec,
     fixture,
     generate,
@@ -87,9 +89,6 @@ from .synth import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-SMOKE = "smoke"
-FULL = "full"
 
 Verdict = tuple[list[str], float | None, Callable[[], str] | None]
 

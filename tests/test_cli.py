@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +283,27 @@ def test_gen_bad_fanin_is_a_usage_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shape", [CIRCUIT, MONOTONE])
+@pytest.mark.parametrize("c", [(1 << 63) - 1, (1 << 63) - 2, 10**9])
+def test_gen_prices_the_fanin_bound_before_any_draw(c, shape, tmp_path):
+    # size 4 x c child slots: refused before numpy draws c children, which
+    # would not fit in 1.5 GB (or overflows its int64 bounds)
+    done = subprocess.run([sys.executable, "-c", _UNDER_1_5_GB, *GEN_FANIN, f"BOUNDED:{c}",
+                           "--shape", shape],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", (
+        f"error: a {shape} of size 4 with fan-in bound {c} may draw {4 * c} children, "
+        "over the 1048576 budget\n"))
+
+
+@pytest.mark.parametrize("density", ["nan", "inf", "-1", "2"])
+def test_gen_refuses_a_neg_density_outside_0_1(density, capsys):
+    argv = ["gen", "--seed", "1", "--num-vars", "3", "--size", "4", "--neg-density", density]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: neg_density must lie in [0, 1], got {float(density)}\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -418,10 +438,11 @@ def test_verify_all_check_with_no_instance_is_skipped(capsys):
 
 
 def test_verify_all_cap_n_applies_to_every_check(capsys):
-    assert main(["verify-all", "--level", "smoke", "--cap-n", "0"]) == 0
-    *lines, status = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == [f"[SKIP] {c}" for c in verify.CHECKS]
-    assert status.startswith(f"all checks passed ({len(verify.CHECKS)} skipped")
+    # every check's smallest instance has n >= 1: a lower cap would skip all
+    # of them and still read "all checks passed", so it is a usage error
+    for cap in ("0", "-1"):
+        assert main(["verify-all", "--level", "smoke", "--cap-n", cap]) == 2
+        assert capsys.readouterr() == ("", f"error: --cap-n must be >= 1, got {cap}\n")
 
 
 def test_verify_all_cap_n_drops_the_larger_trees(capsys):
@@ -497,7 +518,7 @@ def _drop_last_gate(search):
     def broken(c, a, i, cap=None):
         path = search(c, a, i, cap)
         ids = path.gate_ids
-        return replace(path, gate_ids=ids[:-1]) if len(ids) > 1 else path
+        return path._replace(gate_ids=ids[:-1]) if len(ids) > 1 else path
     return broken
 
 
@@ -505,7 +526,7 @@ def _not_separating(run):
     def broken(instance, cap=None):
         tr = run(instance, cap)
         wrong = [j for j, (x, y) in enumerate(zip(instance.a, instance.b)) if not (x and not y)]
-        return replace(tr, result=wrong[0]) if wrong else tr
+        return tr._replace(result=wrong[0]) if wrong else tr
     return broken
 
 
@@ -516,7 +537,7 @@ def _flip_first_leaf(extract):
     def broken(c, cap=None):
         rep = extract(c, cap)
         tree = rep.extracted_tree
-        return replace(rep, extracted_tree=DecisionTree(tree.num_vars, flip(tree.root)))
+        return rep._replace(extracted_tree=DecisionTree(tree.num_vars, flip(tree.root)))
     return broken
 
 
@@ -532,21 +553,21 @@ def _two_more_nots(merge):
 def _swap_taps_0_and_1(cascade):
     def broken(n, cap=None):
         mc = cascade(n, cap)
-        return replace(mc, taps=(mc.taps[1], mc.taps[0], *mc.taps[2:]))
+        return mc._replace(taps=(mc.taps[1], mc.taps[0], *mc.taps[2:]))
     return broken
 
 
 def _drop_first_block(decompose):
     def broken(formula):
         dec = decompose(formula)
-        return replace(dec, blocks=dec.blocks[1:])
+        return dec._replace(blocks=dec.blocks[1:])
     return broken
 
 
 def _one_more_firing(readonce):
     def broken(formula, cap=None):
         rep = readonce(formula, cap)
-        return replace(rep, ec=rep.ec + 1)
+        return rep._replace(ec=rep.ec + 1)
     return broken
 
 
@@ -585,7 +606,8 @@ def _biased_samples(estimate):
         idx = np.random.default_rng(seed).integers(0, 1 << formula.num_vars, size=samples,
                                                    dtype=np.uint64)
         drawn = energy_moments(formula, idx | np.uint64(1)).drawn
-        return replace(stats, empirical_mean_energy=float(drawn.mean()))
+        stats.empirical_mean_energy = float(drawn.mean())
+        return stats
     return broken
 
 
@@ -826,15 +848,24 @@ _NUMPY_FREE_VERBS = {  # verb -> argv after the verb, "@name" a file of _TINY
     "fml-decompose": ["@or2"],
     "fml-stats": ["@or2", "--readonce"],
 }
+_NUMPY_VERBS = {
+    "patterns": ["@or2"],
+    "extract-dt": ["@or2"],
+    "fml-nonskew": ["@or2", "--samples", "10"],
+    "gen": ["--seed", "1", "--num-vars", "3", "--size", "4"],
+}
 _TINY = {"or2": OR2, "xor2": "n=2\n0110\n", "tree": "(x0 (x1 0 1) (x1 1 0))\n"}
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
+def loaded():
+    return " ".join(str(m in sys.modules)
+                    for m in ("numpy", "dataclasses", "circuit_energy.verify"))
 import circuit_energy, circuit_energy.cli
-print("import", "numpy" in sys.modules)
+print("import", loaded())
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = circuit_energy.cli.main(argv)
-    print(argv[0], rc, "numpy" in sys.modules)
+    print(argv[0], rc, loaded())
 """
 
 
@@ -852,11 +883,16 @@ def _with_files(argv, tmp_path, texts):
 
 
 def test_numpy_free_verbs_never_load_numpy(tmp_path):
-    runs = [_with_files([verb, *rest], tmp_path, _TINY) for verb, rest in _NUMPY_FREE_VERBS.items()]
+    # in a fresh interpreter: numpy loads only for the verbs that draw or
+    # pack with it, and dataclasses and the checks of verify-all never load
+    verbs = {**_NUMPY_FREE_VERBS, **_NUMPY_VERBS}
+    runs = [_with_files([verb, *rest], tmp_path, _TINY) for verb, rest in verbs.items()]
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)],
                           capture_output=True, text=True, timeout=60, env=_child_env())
     assert done.returncode == 0, done.stderr
-    want = ["import False"] + [f"{verb} 0 False" for verb in _NUMPY_FREE_VERBS]
+    want = (["import False False False"]
+            + [f"{verb} 0 False False False" for verb in _NUMPY_FREE_VERBS]
+            + [f"{verb} 0 True False False" for verb in _NUMPY_VERBS])
     assert done.stdout.splitlines() == want
 
 

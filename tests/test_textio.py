@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -181,7 +179,7 @@ def _generated_netlists():
                 c = dt_to_circuit(generate(spec)).circuit
             else:
                 if shape == READONCE_LEAFNEG:  # one leaf per variable
-                    spec = replace(spec, size_budget=min(spec.size_budget, spec.num_vars))
+                    spec = spec._replace(size_budget=min(spec.size_budget, spec.num_vars))
                 c = generate(spec)
             header = [f"seed {s}", shape] if s % 3 == 0 else None
             yield serialize_netlist(c, header), isinstance(c, Formula)
