@@ -188,17 +188,9 @@ class NonSkewStats:
         self.exact_energy_total = exact_energy_total
         self.exact_square_total = exact_square_total  # sum of the squared energy
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"NonSkewStats({body})"
-
-    def __eq__(self, other):
-        if type(other) is not NonSkewStats:
-            return NotImplemented
-        return self._values() == other._values()
 
 
 def nonskew_energy_estimate(
