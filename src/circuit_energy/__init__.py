@@ -101,7 +101,6 @@ from .bounds import (
     check_psens_bound,
     dt_from_patterns,
     find_positive_path,
-    tradeoff_depth_ok,
 )
 from .kw import KwInstance, KwTranscript, make_instance, minimize_one_input, run_protocol
 from .formulas import (

@@ -10,7 +10,7 @@ from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import NoPathFound
-from .ir import AND, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree, dt_depth_of, forced
+from .ir import AND, INPUT, NOT, OP_KINDS, OR, Circuit, DecisionTree, forced
 from .semantics import (
     DT_CAP,
     EVAL_CAP,
@@ -216,7 +216,3 @@ def dt_from_patterns(circuit: Circuit, cap: int | None = None) -> TradeoffReport
     return TradeoffReport(
         len(ops), energy, t, ell, tree, oracle
     )
-
-
-def tradeoff_depth_ok(report: TradeoffReport) -> bool:
-    return dt_depth_of(report.extracted_tree.root) <= report.max_fanin * report.pattern_count

@@ -13,7 +13,17 @@ import os
 import sys
 
 from .bounds import check_psens_bound, dt_from_patterns
-from .corpus import FULL, NONSKEW, SHAPES, SMOKE, GenSpec, fixture, generate, generate_nonskew
+from .corpus import (
+    FULL,
+    NONSKEW,
+    SHAPES,
+    SMOKE,
+    GenSpec,
+    check_neg_density,
+    fixture,
+    generate,
+    generate_nonskew,
+)
 from .errors import ToolkitError
 from .formulas import (
     decompose_gk,
@@ -216,6 +226,9 @@ def _cmd_fml_nonskew(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # checked for every shape, NONSKEW too, though it reads neither
+    fanin_mode = parse_fanin_mode(args.fanin)
+    check_neg_density(args.neg_density)
     if args.shape == NONSKEW:
         F = generate_nonskew(args.seed, args.num_vars, args.size)
         header = [
@@ -230,7 +243,7 @@ def _cmd_gen(args) -> int:
         size_budget=args.size,
         neg_density=args.neg_density,
         shape=args.shape,
-        fanin_mode=parse_fanin_mode(args.fanin),
+        fanin_mode=fanin_mode,
     )
     obj = generate(spec)
     header = [

@@ -64,6 +64,11 @@ class GenSpec(NamedTuple):
     fanin_mode: FaninMode = FANIN2
 
 
+def check_neg_density(neg_density: float) -> None:
+    if not 0 <= neg_density <= 1:  # also refuses nan
+        raise ToolkitError(f"neg_density must lie in [0, 1], got {neg_density}")
+
+
 def _check_budget(shape: str, num_vars: int, size: int, cap: int | None = None) -> None:
     """Refuse budgets the shape cannot build from or that are too large to
     build, before the first draw.  ``cap`` is the c of BOUNDED:c."""
@@ -176,8 +181,7 @@ def generate(spec: GenSpec):
     """
     if spec.shape not in SHAPES:
         raise ValueError(f"unknown shape {spec.shape!r}")
-    if not 0 <= spec.neg_density <= 1:  # also refuses nan
-        raise ToolkitError(f"neg_density must lie in [0, 1], got {spec.neg_density}")
+    check_neg_density(spec.neg_density)
     _check_budget(spec.shape, spec.num_vars, spec.size_budget, spec.fanin_mode.cap)
     rng = _rng(spec.seed)
     if spec.shape in (CIRCUIT, MONOTONE):

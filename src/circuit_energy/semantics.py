@@ -42,7 +42,9 @@ from the truth table's bytes: inside a block the masks of variables below
 xor its partner block.  A high variable the table does not read makes each
 block with its bit set repeat a lower block, so those blocks are never
 counted.  Truth tables put the output mask of each block at the block's
-own index, choosing their order over the output cone.
+own index, choosing their order over the output cone.  dt_truth_table
+folds a decision tree into its table: each node is one join_cofactors, the
+inverse of cofactors, of its branches' tables.
 energy_moments reads exact energy sums and sampled per-input energies off
 the same planes, without a per-input array.  gate_masks, which
 firing_patterns and bounds.dt_from_patterns need (the latter reads every
@@ -69,7 +71,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapExceeded, LengthMismatch
-from .ir import AND, INPUT, NOT, OR, Circuit, DecisionTree
+from .ir import AND, INPUT, NOT, OR, Circuit, DecisionTree, dt_children, fold
 
 if TYPE_CHECKING:
     import numpy as np
@@ -292,6 +294,26 @@ def cofactors(bits: int, n: int, var: int) -> tuple[int, int]:
     low = bits ^ high
     shift = 1 << var
     return low | low << shift, high | high >> shift
+
+
+def join_cofactors(n: int, var: int, low: int, high: int) -> int:
+    """The inverse of ``cofactors``: the n-variable table that is ``low``
+    where x_var reads 0 and ``high`` where it reads 1."""
+    mv = var_masks(n)[var]
+    return (~mv & low) | (mv & high)
+
+
+def dt_truth_table(tree: DecisionTree) -> TruthTable:
+    """The function a decision tree computes: one fold that joins the
+    tables of each node's branches on the node's variable."""
+    n = tree.num_vars
+    _check_cap(n, None, EVAL_CAP)
+    full = (1 << (1 << n)) - 1
+
+    def join(node, branches) -> int:
+        return join_cofactors(n, node[0], *branches) if branches else full if node else 0
+
+    return TruthTable(n, fold(tree.root, dt_children, join))
 
 
 class TruthTable:

@@ -62,7 +62,6 @@ from .ir import (
     Gate,
     bounded,
     dt_depth_of,
-    fold,
     not_gate,
     restrict,
     structural_stats,
@@ -70,13 +69,14 @@ from .ir import (
 from .kw import make_instance, run_protocol
 from .semantics import (
     TruthTable,
+    dt_truth_table,
     energy_exhaustive,
     evaluate,
     gate_masks,
+    join_cofactors,
     psens,
     psens_at,
     truth_table,
-    var_masks,
 )
 from .synth import (
     DtCompileResult,
@@ -165,52 +165,12 @@ def _point(x: int, n: int) -> tuple[int, ...]:
 # shared corpora
 
 
-def _dt_bits(node, n: int, memo: dict) -> int:
-    """Truth table bits of a decision-tree node, memoized structurally (the
-    corpus shares subtrees heavily, and id()-keyed caching would go stale as
-    enumerated root tuples are garbage collected and their ids recycled).
-    Each node is looked up once: a leaf or a memoized node is a leaf of the
-    fold, and a root whose branches are both known is joined without one.
-    Only the branches the fold joins are stored, not ``node`` itself: a
-    corpus root almost never recurs as a later root's branch, so storing
-    roots would keep every tree of a walk alive."""
-    full = (1 << (1 << n)) - 1
-    masks = var_masks(n)
-
-    def known(t):
-        """The bits of a leaf or of a memoized node, else None."""
-        return (full if t else 0) if isinstance(t, int) else memo.get(t)
-
-    hit = None  # what the last expand found; a leaf's join follows its expand
-
-    def expand(t):
-        nonlocal hit
-        hit = known(t)
-        return () if hit is not None else t[1:]
-
-    def join(t, branches) -> int:
-        if not branches:
-            return hit
-        mv = masks[t[0]]
-        out = memo[t] = ((full ^ mv) & branches[0]) | (mv & branches[1])
-        return out
-
-    got = known(node)
-    if got is not None:
-        return got
-    lo, hi = known(node[1]), known(node[2])
-    if lo is None:
-        lo = fold(node[1], expand, join)
-    if hi is None:
-        hi = fold(node[2], expand, join)
-    mv = masks[node[0]]
-    return ((full ^ mv) & lo) | (mv & hi)
-
-
 def _all_reduced_trees(num_vars: int, depth: int):
-    """Every reduced decision tree of the given depth budget, plus the count
-    the closed form 2 + k*T(d-1, k-1)^2 predicts."""
+    """Every reduced decision tree of the given depth budget, the count the
+    closed form 2 + k*T(d-1, k-1)^2 predicts, and the table of each proper
+    subtree, leaves included, made as the enumeration builds the subtree."""
     cache: dict[tuple[tuple[int, ...], int], list] = {}
+    tables = {0: 0, 1: (1 << (1 << num_vars)) - 1}
 
     def trees(avail: tuple[int, ...], d: int) -> list:
         key = (avail, d)
@@ -222,7 +182,11 @@ def _all_reduced_trees(num_vars: int, depth: int):
             for v in avail:
                 rest = tuple(u for u in avail if u != v)
                 subs = trees(rest, d - 1)
-                out.extend((v, lo, hi) for lo in subs for hi in subs)
+                for lo in subs:
+                    for hi in subs:
+                        t = (v, lo, hi)
+                        tables[t] = join_cofactors(num_vars, v, tables[lo], tables[hi])
+                        out.append(t)
         cache[key] = out
         return out
 
@@ -242,7 +206,7 @@ def _all_reduced_trees(num_vars: int, depth: int):
                 for hi in subs:
                     yield (v, lo, hi)
 
-    return enumerate_lazy(), predicted(depth, num_vars), cache
+    return enumerate_lazy(), predicted(depth, num_vars), tables
 
 
 @dataclass
@@ -265,18 +229,20 @@ def _tree_cases(level: str):
     seeded random DTREE trees.  An enumeration that disagrees with the
     closed form is a violation."""
     n_exh, depth, rand = (3, 2, 50) if level == SMOKE else (4, 3, 500)
-    exhaustive, expected, _ = _all_reduced_trees(n_exh, depth)
-    memo: dict = {}  # _dt_bits keys by node alone, so one memo per n
+    exhaustive, expected, tables = _all_reduced_trees(n_exh, depth)
     k = -1
     for k, root in enumerate(exhaustive):
-        yield f"tree {k}", n_exh, _Tree(n_exh, root, _dt_bits(root, n_exh, memo))
+        if isinstance(root, int):
+            bits = tables[root]
+        else:
+            bits = join_cofactors(n_exh, root[0], tables[root[1]], tables[root[2]])
+        yield f"tree {k}", n_exh, _Tree(n_exh, root, bits)
     if k + 1 != expected:
         miscount = f"enumerated {k + 1} trees, closed form says {expected}"
         yield "enumeration", n_exh, _Invalid(miscount)
-    memo = {}
     for s in range(rand):
-        root = generate(GenSpec(seed=s, num_vars=8, size_budget=6, shape=DTREE)).root
-        yield f"random tree seed={s}", 8, _Tree(8, root, _dt_bits(root, 8, memo))
+        tree = generate(GenSpec(seed=s, num_vars=8, size_budget=6, shape=DTREE))
+        yield f"random tree seed={s}", 8, _Tree(8, tree.root, dt_truth_table(tree).bits)
 
 
 def _psens_specs(level: str) -> list[GenSpec]:
@@ -464,7 +430,7 @@ def _judge_pattern_tree(spec: GenSpec) -> Verdict:
     c = generate(spec)
     rep = dt_from_patterns(c)
     problems = []
-    if _dt_bits(rep.extracted_tree.root, c.num_vars, {}) != truth_table(c).bits:
+    if dt_truth_table(rep.extracted_tree) != truth_table(c):
         problems.append("extracted tree differs from the circuit")
     depth = dt_depth_of(rep.extracted_tree.root)
     budget = rep.max_fanin * rep.pattern_count
@@ -732,8 +698,7 @@ def _judge_merge(case) -> Verdict:
     s, c0, c1, i = case
     n = c0.num_vars
     merged = connector_merge(c0, c1, i)
-    mv = var_masks(n)[i]
-    want = (~mv & truth_table(c0).bits) | (mv & truth_table(c1).bits)
+    want = join_cofactors(n, i, truth_table(c0).bits, truth_table(c1).bits)
     problems = []
     if truth_table(merged).bits != want:
         problems.append("not (~x_i AND f0) OR (x_i AND f1)")

@@ -10,11 +10,10 @@ from circuit_energy import (
     check_psens_bound,
     dt_from_patterns,
     find_positive_path,
-    tradeoff_depth_ok,
     truth_table,
 )
 from circuit_energy.corpus import CIRCUIT, FORMULA, MONOTONE, GenSpec, fixture, generate
-from circuit_energy.ir import AND, FANIN2, OR, UNBOUNDED, Formula, Gate
+from circuit_energy.ir import AND, FANIN2, OR, UNBOUNDED, Formula, Gate, dt_depth_of
 from circuit_energy.semantics import dt_depth
 from circuit_energy.textio import parse_netlist
 from path_ref import find_positive_path as bfs_path
@@ -190,7 +189,7 @@ def test_pattern_tree_and2():
     assert rep.size == 1
     assert rep.energy == 1
     assert rep.max_fanin == 2
-    assert tradeoff_depth_ok(rep)
+    assert dt_depth_of(rep.extracted_tree.root) <= rep.max_fanin * rep.pattern_count
     assert rep.dt_oracle == 2
     assert rep.extracted_tree.depth() >= rep.dt_oracle
 
@@ -223,7 +222,7 @@ def test_pattern_tree_matches_function_on_corpus():
         rep = dt_from_patterns(c)
         got = TruthTable.from_callable(c.num_vars, rep.extracted_tree.evaluate)
         assert got == truth_table(c)
-        assert tradeoff_depth_ok(rep)
+        assert dt_depth_of(rep.extracted_tree.root) <= rep.max_fanin * rep.pattern_count
         assert rep.pattern_count <= max(rep.size, 1) ** rep.energy + 1
         if rep.dt_oracle is not None:
             assert rep.dt_oracle <= rep.max_fanin * rep.pattern_count

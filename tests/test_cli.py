@@ -278,9 +278,10 @@ def test_gen_bounded_fanin_spellings(fanin, capsys):
 
 
 def test_gen_bad_fanin_is_a_usage_error(capsys):
-    assert main(GEN_FANIN + ["BOUNDED:x"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    for shape in (CIRCUIT, NONSKEW):  # NONSKEW reads no fan-in, but checks it
+        assert main(GEN_FANIN + ["BOUNDED:x", "--shape", shape]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("shape", [CIRCUIT, MONOTONE])
@@ -298,10 +299,12 @@ def test_gen_prices_the_fanin_bound_before_any_draw(c, shape, tmp_path):
 
 @pytest.mark.parametrize("density", ["nan", "inf", "-1", "2"])
 def test_gen_refuses_a_neg_density_outside_0_1(density, capsys):
-    argv = ["gen", "--seed", "1", "--num-vars", "3", "--size", "4", "--neg-density", density]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"error: neg_density must lie in [0, 1], got {float(density)}\n"
+    for shape in (CIRCUIT, NONSKEW):  # NONSKEW reads no density, but checks it
+        argv = ["gen", "--seed", "1", "--num-vars", "3", "--size", "4", "--neg-density", density,
+                "--shape", shape]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: neg_density must lie in [0, 1], got {float(density)}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -25,8 +26,9 @@ from circuit_energy import (
 )
 from circuit_energy.corpus import GenSpec, generate
 from circuit_energy.ir import FANIN2, input_gate, not_gate, or_gate, structural_stats
+from circuit_energy.semantics import EVAL_CAP, cofactors, dt_truth_table, join_cofactors
 from circuit_energy.textio import parse_netlist, serialize_netlist
-from circuit_energy.verify import _all_reduced_trees, _dt_bits
+from circuit_energy.verify import _all_reduced_trees
 
 
 def negs_of(c):
@@ -299,25 +301,48 @@ def test_deep_chain_tree_compiles_and_reduces():
     assert evaluate(res.circuit, (0,) * d).value == 0
 
 
-def test_dt_bits_matches_the_compiled_circuit():
-    memo = {}
+def test_dt_truth_table_matches_the_compiled_circuit():
     for s in range(30):
         tree = generate(GenSpec(seed=s, num_vars=6, size_budget=5, shape="DTREE"))
-        bits = _dt_bits(tree.root, 6, memo)
-        assert bits == truth_table(dt_to_circuit(tree).circuit).bits
-        assert bits == _dt_bits(tree.root, 6, {})  # the memo changes nothing
+        assert dt_truth_table(tree) == truth_table(dt_to_circuit(tree).circuit)
 
 
-def test_dt_bits_stores_only_the_branches_of_roots():
-    # a root is joined without being stored, so a walk over the corpus
-    # keeps only the subtrees its roots share
-    roots = list(_all_reduced_trees(3, 2)[0])
-    memo = {}
-    for root in roots:
-        want = TruthTable.from_callable(3, DecisionTree(3, root).evaluate).bits
-        assert _dt_bits(root, 3, memo) == want
-    branches = {b for t in roots if not isinstance(t, int) for b in t[1:]}
-    assert set(memo) == {b for b in branches if not isinstance(b, int)}
+def test_dt_truth_table_matches_the_tree_evaluated_on_every_input():
+    trees = [
+        DecisionTree(4, root)
+        for k, root in enumerate(_all_reduced_trees(4, 3)[0])
+        if k % 1009 == 0
+    ]
+    trees += [
+        generate(GenSpec(seed=s, num_vars=8, size_budget=6, shape="DTREE"))
+        for s in range(100)
+    ]
+    trees += [DecisionTree(0, 1), chain_tree(12, 0), chain_tree(12, 1)]
+    for tree in trees:
+        want = TruthTable.from_callable(tree.num_vars, tree.evaluate)
+        assert dt_truth_table(tree) == want
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_join_cofactors_inverts_cofactors(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        bits = rng.getrandbits(1 << n)
+        for v in range(n):
+            assert join_cofactors(n, v, *cofactors(bits, n, v)) == bits
+
+
+def test_the_enumeration_tables_every_subtree_it_builds():
+    roots, _, tables = _all_reduced_trees(3, 2)
+    list(roots)  # the tables fill as the enumeration runs
+    assert len(tables) == 2 + 3 * 4  # the leaves and every (v, leaf, leaf)
+    for sub, bits in tables.items():
+        assert dt_truth_table(DecisionTree(3, sub)).bits == bits
+
+
+def test_dt_truth_table_refuses_a_tree_over_the_cap():
+    with pytest.raises(CapExceeded):
+        dt_truth_table(DecisionTree(EVAL_CAP + 1, (EVAL_CAP, 0, 1)))
 
 
 def test_connector_merge_over_a_deep_side():
